@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 input/validation error, 1 internal error. Numeric
 output uses 6 decimal places by default (`--precision`, or the
 LIX_PRECISION environment variable). `--format json|csv` switches from the
-human-readable table to machine output.
+human-readable table to machine output (default json for `calibrate-alpha`
+and `study`). JSON is a list from `lix`, `lixi` and `compare`, else an object.
 """
 
 from __future__ import annotations
@@ -28,12 +29,19 @@ def _default_precision() -> int:
         return 6
 
 
+def _non_negative_int(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--precision", type=int, default=_default_precision(),
+    common.add_argument("--precision", type=_non_negative_int, default=_default_precision(),
                         help="decimal places for numeric output (default 6)")
-    common.add_argument("--format", choices=["text", "json", "csv"],
-                        default="text", help="output format")
+    common.add_argument("--format", choices=["text", "json", "csv"], default=None,
+                        help="output format (default text; json for "
+                             "calibrate-alpha and study)")
 
     p = argparse.ArgumentParser(prog="lix",
                                 description="Liquidity index toolkit")
@@ -115,26 +123,30 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _fmt(x: float, precision: int) -> str:
-    return f"{x:.{precision}f}"
+def _cell(value, precision: int) -> str:
+    if isinstance(value, list):
+        return ";".join(_cell(v, precision) for v in value)
+    return f"{value:.{precision}f}" if isinstance(value, float) else str(value)
 
 
-def _emit_rows(rows, columns, args, out):
-    """rows: list of dicts; numeric values pre-rounded."""
+def _emit_rows(rows, args, out, fmt=None):
+    """Print one result (a dict) or a list of row dicts, whose keys are the
+    columns, in `fmt` (default `args.format`). JSON rounds top-level floats."""
+    fmt = fmt or args.format
     p = args.precision
-    if args.format == "json":
-        payload = [{k: (round(v, p) if isinstance(v, float) else v)
-                    for k, v in r.items()} for r in rows]
-        print(json.dumps(payload if len(payload) != 1 else payload[0]), file=out)
-    elif args.format == "csv":
-        print(",".join(columns), file=out)
-        for r in rows:
-            print(",".join(_fmt(r[c], p) if isinstance(r[c], float) else str(r[c])
-                           for c in columns), file=out)
-    else:
-        for r in rows:
-            print("  ".join(_fmt(r[c], p) if isinstance(r[c], float) else str(r[c])
-                            for c in columns), file=out)
+    if fmt == "json":
+        def rounded(r):
+            return {k: (round(v, p) if isinstance(v, float) else v)
+                    for k, v in r.items()}
+        payload = rounded(rows) if isinstance(rows, dict) else list(map(rounded, rows))
+        print(json.dumps(payload), file=out)
+        return
+    rows = [rows] if isinstance(rows, dict) else rows
+    sep = "," if fmt == "csv" else "  "
+    if fmt == "csv":
+        print(",".join(rows[0]), file=out)
+    for r in rows:
+        print(sep.join(_cell(v, p) for v in r.values()), file=out)
 
 
 def _cmd_lix(args, out, err):
@@ -161,7 +173,7 @@ def _cmd_lix(args, out, err):
         print(f"warning: skipped {skipped} day(s) with undefined index", file=err)
     if not rows:
         raise errors.EmptyDataset("every day in the input has an undefined index")
-    _emit_rows(rows, ["date", "lix"], args, out)
+    _emit_rows(rows, args, out)
     return 0
 
 
@@ -172,8 +184,7 @@ def _cmd_lix_intraday(args, out, err):
     raw = lix_intraday_raw(window)
     scaled = time_scale_to_daily(raw, args.elapsed, args.session,
                                  ScalingParams(args.alpha))
-    _emit_rows([{"lix_raw": raw.value, "lix": scaled.value}],
-               ["lix_raw", "lix"], args, out)
+    _emit_rows({"lix_raw": raw.value, "lix": scaled.value}, args, out)
     return 0
 
 
@@ -185,9 +196,6 @@ def _cmd_lixi(args, out, err):
     ctx = data_io.compute_adv(bars, window_days=args.adv_window)
     params = ScalingParams(args.alpha)
     rows = []
-    columns = ["timestamp", "lixi"]
-    if args.decompose:
-        columns += ["spread_term", "depth_term", "adv_term"]
     for snap in snapshots:
         row = {"timestamp": snap.timestamp,
                "lixi": lixi(snap, ctx, params).value}
@@ -196,7 +204,7 @@ def _cmd_lixi(args, out, err):
             row.update(spread_term=d.spread_term, depth_term=d.depth_term,
                        adv_term=d.adv_term)
         rows.append(row)
-    _emit_rows(rows, columns, args, out)
+    _emit_rows(rows, args, out)
     return 0
 
 
@@ -208,7 +216,7 @@ def _cmd_cost(args, out, err):
            "cost_single_shot": costmodel.cost_single_shot(plan),
            "cost_sliced": costmodel.cost_sliced(plan),
            "cost_per_unit": costmodel.cost_per_unit(plan)}
-    _emit_rows([row], list(row), args, out)
+    _emit_rows(row, args, out)
     return 0
 
 
@@ -216,15 +224,14 @@ def _cmd_basket(args, out, err):
     positions = data_io.parse_basket_positions(args.positions)
     if not positions:
         raise errors.EmptyBasket(f"{args.positions}: no positions")
-    total = sum(p.beta for p in positions)
-    if not args.strict and abs(total - 1.0) > portfolio.WEIGHT_TOLERANCE:
-        print(f"warning: weights sum to {total:g}; normalizing", file=err)
     spec = portfolio.BasketSpec.build(positions, etf_lix=args.etf_lix,
                                       strict=args.strict)
+    if abs(spec.weight_sum - 1.0) > portfolio.WEIGHT_TOLERANCE:
+        print(f"warning: weights sum to {spec.weight_sum:g}; normalizing", file=err)
     row = {"lix": portfolio.basket_lix(spec).value}
     if args.etf_lix is not None:
         row["lix_with_etf"] = portfolio.basket_with_etf_lix(spec).value
-    _emit_rows([row], list(row), args, out)
+    _emit_rows(row, args, out)
     return 0
 
 
@@ -237,7 +244,7 @@ def _cmd_compare(args, out, err):
     rows = [{"measure": "lix", "value": lix_daily(bars[-1]).value},
             {"measure": "hui_heubel", "value": hui_heubel(window)},
             {"measure": "amihud_illiq", "value": amihud_illiq(window)}]
-    _emit_rows(rows, ["measure", "value"], args, out)
+    _emit_rows(rows, args, out)
     return 0
 
 
@@ -266,11 +273,9 @@ def _cmd_calibrate_alpha(args, out, err):
         raise errors.InvalidParams(f"bad --grid {args.grid!r}") from None
     model = _parse_model(args.model, args.steps, args.vol, args.seed)
     est = simlab.estimate_alpha(model, args.paths, grid)
-    p = args.precision
-    print(json.dumps({"alpha_hat": round(est.alpha_hat, p),
-                      "stderr": round(est.stderr, p),
-                      "n_paths": est.n_paths,
-                      "time_grid": list(est.time_grid)}), file=out)
+    row = {"alpha_hat": est.alpha_hat, "stderr": est.stderr,
+           "n_paths": est.n_paths, "time_grid": list(est.time_grid)}
+    _emit_rows(row, args, out)
     return 0
 
 
@@ -280,18 +285,15 @@ def _cmd_study(args, out, err):
     report, points = simlab.lixi_vs_lix_study(universe, days=args.days,
                                               seed=args.seed,
                                               snapshots_per_day=args.snapshots)
-    p = args.precision
     if args.points_csv:
+        rows = [{"instrument": pt.instrument_id, "mean_lix": pt.mean_lix,
+                 "mean_lixi": pt.mean_lixi} for pt in points]
         with open(args.points_csv, "w", encoding="utf-8", newline="") as f:
-            f.write("instrument,mean_lix,mean_lixi\n")
-            for pt in points:
-                f.write(f"{pt.instrument_id},{_fmt(pt.mean_lix, p)},"
-                        f"{_fmt(pt.mean_lixi, p)}\n")
-    print(json.dumps({"slope": round(report.slope, p),
-                      "intercept": round(report.intercept, p),
-                      "r_squared": round(report.r_squared, p),
-                      "n_points": report.n_points,
-                      "n_dropped": report.n_dropped}), file=out)
+            _emit_rows(rows, args, f, "csv")
+    row = {"slope": report.slope, "intercept": report.intercept,
+           "r_squared": report.r_squared, "n_points": report.n_points,
+           "n_dropped": report.n_dropped}
+    _emit_rows(row, args, out)
     return 0
 
 
@@ -315,6 +317,8 @@ def main(argv=None, out=None, err=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed usage/help
         return int(exc.code or 0)
+    if args.format is None:
+        args.format = "json" if args.command in ("calibrate-alpha", "study") else "text"
     try:
         return _COMMANDS[args.command](args, out, err)
     except errors.LixError as exc:

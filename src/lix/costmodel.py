@@ -30,11 +30,14 @@ class ExecutionPlan:
     alpha: float = 0.5
 
     def __post_init__(self):
-        if self.shares <= 0:
-            raise errors.InvalidParams(f"shares must be positive, got {self.shares}")
-        if self.price <= 0:
-            raise errors.NonPositivePrice(f"price must be positive, got {self.price}")
-        if not (0 < self.slice_interval <= self.session_length):
+        if not (math.isfinite(self.shares) and self.shares > 0):
+            raise errors.InvalidParams(
+                f"shares must be positive and finite, got {self.shares}")
+        if not (math.isfinite(self.price) and self.price > 0):
+            raise errors.NonPositivePrice(
+                f"price must be positive and finite, got {self.price}")
+        if not (0 < self.slice_interval <= self.session_length
+                and math.isfinite(self.session_length)):
             raise errors.InvalidInterval(
                 f"slice_interval {self.slice_interval} not in "
                 f"(0, session_length={self.session_length}]")

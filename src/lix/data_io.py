@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import datetime
+import io
 import math
 from pathlib import Path
 
@@ -35,24 +36,37 @@ def _finite_float(text: str, line: int, column: str) -> float:
 
 
 def _open_rows(path, expected_header):
+    """Yield (line, fields) for each non-blank data row after the header.
+
+    `line` is the physical line the row ends on, so quoted fields spanning
+    newlines do not shift later locations.
+    """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise errors.ParseError(f"{path}: not valid UTF-8: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        rows = list(csv.reader(text.splitlines()))
+        header = next(reader, None)
+        if header is None:
+            raise errors.ParseError(f"{path}: empty file, expected header "
+                                    f"{','.join(expected_header)}", line=1)
+        if [h.strip().lower() for h in header] != expected_header:
+            raise errors.ParseError(
+                f"{path}: bad header {header!r}, expected {','.join(expected_header)}",
+                line=1)
+        for row in reader:
+            if not row or row == [""]:
+                continue
+            if len(row) != len(expected_header):
+                raise errors.ParseError(
+                    f"expected {len(expected_header)} fields, got {len(row)}",
+                    line=reader.line_num)
+            yield reader.line_num, row
     except csv.Error as exc:
-        raise errors.ParseError(f"{path}: malformed CSV: {exc}", line=1) from None
-    if not rows:
-        raise errors.ParseError(f"{path}: empty file, expected header "
-                                f"{','.join(expected_header)}", line=1)
-    header = [h.strip().lower() for h in rows[0]]
-    if header != expected_header:
-        raise errors.ParseError(
-            f"{path}: bad header {rows[0]!r}, expected {','.join(expected_header)}",
-            line=1)
-    return rows[1:]
+        raise errors.ParseError(f"{path}: malformed CSV: {exc}",
+                                line=reader.line_num) from None
 
 
 def parse_daily_bars(path, instrument_id: str | None = None) -> list[DailyBar]:
@@ -63,12 +77,7 @@ def parse_daily_bars(path, instrument_id: str | None = None) -> list[DailyBar]:
     instrument = instrument_id or Path(path).stem
     out = []
     seen = {}
-    for i, row in enumerate(_open_rows(path, BAR_HEADER), start=2):
-        if not row or row == [""]:
-            continue
-        if len(row) != len(BAR_HEADER):
-            raise errors.ParseError(
-                f"expected {len(BAR_HEADER)} fields, got {len(row)}", line=i)
+    for i, row in _open_rows(path, BAR_HEADER):
         try:
             day = datetime.date.fromisoformat(row[0].strip())
         except ValueError:
@@ -107,12 +116,7 @@ def parse_book_snapshots(path) -> list[OrderBookSnapshot]:
     must run contiguously from 1. Level 1 is the touch price.
     """
     groups: dict[float, dict[str, dict[int, BookLevel]]] = {}
-    for i, row in enumerate(_open_rows(path, BOOK_HEADER), start=2):
-        if not row or row == [""]:
-            continue
-        if len(row) != len(BOOK_HEADER):
-            raise errors.ParseError(
-                f"expected {len(BOOK_HEADER)} fields, got {len(row)}", line=i)
+    for i, row in _open_rows(path, BOOK_HEADER):
         ts = _finite_float(row[0], i, "timestamp")
         side = row[1].strip().upper()
         if side not in ("B", "A"):
@@ -159,12 +163,7 @@ def parse_book_snapshots(path) -> list[OrderBookSnapshot]:
 def parse_basket_positions(path) -> list[BasketPosition]:
     """Read `instrument,beta,lix` rows into basket positions."""
     out = []
-    for i, row in enumerate(_open_rows(path, POSITION_HEADER), start=2):
-        if not row or row == [""]:
-            continue
-        if len(row) != len(POSITION_HEADER):
-            raise errors.ParseError(
-                f"expected {len(POSITION_HEADER)} fields, got {len(row)}", line=i)
+    for i, row in _open_rows(path, POSITION_HEADER):
         beta = _finite_float(row[1], i, "beta")
         lix_value = _finite_float(row[2], i, "lix")
         try:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import datetime
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import errors
 
@@ -32,8 +32,6 @@ class LiquidityIndex:
 
     value: float
     kind: LixKind
-    # (n_bid_levels, n_ask_levels) when derived from an order book
-    n_levels: tuple[int, int] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if not math.isfinite(self.value):

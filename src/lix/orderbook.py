@@ -70,14 +70,6 @@ class OrderBookSnapshot:
         # Touch midpoint, never the VWAP midpoint.
         return (self.best_ask + self.best_bid) / 2
 
-    @property
-    def bid_volume(self) -> float:
-        return sum(lv.volume for lv in self.bids)
-
-    @property
-    def ask_volume(self) -> float:
-        return sum(lv.volume for lv in self.asks)
-
 
 @dataclass(frozen=True)
 class AdvContext:
@@ -97,34 +89,38 @@ class AdvContext:
                 f"session_length must be positive, got {self.session_length}")
 
 
+def _side_terms(levels):
+    # (VWAP, total volume) of one side, in one pass over its levels.
+    total = sum(lv.volume for lv in levels)
+    return sum(lv.price * lv.volume for lv in levels) / total, total
+
+
 def side_vwap(levels) -> float:
     """Volume-weighted average price over one side's levels."""
     levels = tuple(levels)
     if not levels:
         raise errors.EmptySide("no levels on this side of the book")
-    total = sum(lv.volume for lv in levels)
-    return sum(lv.price * lv.volume for lv in levels) / total
+    return _side_terms(levels)[0]
 
 
 def _book_terms(book: OrderBookSnapshot):
+    """(VWAP gap, touch midprice, total displayed volume) of a book."""
     if not book.bids:
         raise errors.EmptySide("bid side is empty")
     if not book.asks:
         raise errors.EmptySide("ask side is empty")
-    vwap_bid = side_vwap(book.bids)
-    vwap_ask = side_vwap(book.asks)
+    vwap_bid, bid_volume = _side_terms(book.bids)
+    vwap_ask, ask_volume = _side_terms(book.asks)
     if vwap_ask <= vwap_bid:
         raise errors.CrossedBook(
             f"ask-side VWAP {vwap_ask} <= bid-side VWAP {vwap_bid} (t={book.timestamp})")
-    return vwap_bid, vwap_ask, book.bid_volume + book.ask_volume
+    return vwap_ask - vwap_bid, book.mid_price, bid_volume + ask_volume
 
 
 def lixi_tau(book: OrderBookSnapshot) -> LiquidityIndex:
     """Instantaneous liquidity of one snapshot, on its own (tau) time scale."""
-    vwap_bid, vwap_ask, total_volume = _book_terms(book)
-    value = math.log10(total_volume * book.mid_price / (vwap_ask - vwap_bid))
-    return LiquidityIndex(value, LixKind.INSTANTANEOUS,
-                          n_levels=(len(book.bids), len(book.asks)))
+    gap, mid, total_volume = _book_terms(book)
+    return LiquidityIndex(math.log10(total_volume * mid / gap), LixKind.INSTANTANEOUS)
 
 
 def lixi(book: OrderBookSnapshot, ctx: AdvContext,
@@ -136,16 +132,16 @@ def lixi(book: OrderBookSnapshot, ctx: AdvContext,
     (1 - alpha) * log10(ADV / (V_bid + V_ask)). The correction goes negative
     when displayed volume exceeds ADV; no clamping.
     """
-    tau = lixi_tau(book)
-    total_volume = book.bid_volume + book.ask_volume
-    value = tau.value + (1 - params.alpha) * math.log10(ctx.adv / total_volume)
-    return LiquidityIndex(value, LixKind.INSTANTANEOUS, n_levels=tau.n_levels)
+    gap, mid, total_volume = _book_terms(book)
+    value = (math.log10(total_volume * mid / gap)
+             + (1 - params.alpha) * math.log10(ctx.adv / total_volume))
+    return LiquidityIndex(value, LixKind.INSTANTANEOUS)
 
 
 def relative_spread(book: OrderBookSnapshot) -> float:
     """VWAP spread divided by touch midprice; dimensionless and positive."""
-    vwap_bid, vwap_ask, _ = _book_terms(book)
-    return (vwap_ask - vwap_bid) / book.mid_price
+    gap, mid, _ = _book_terms(book)
+    return gap / mid
 
 
 @dataclass(frozen=True)
@@ -164,9 +160,8 @@ def lixi_decomposed(book: OrderBookSnapshot, ctx: AdvContext) -> LixiDecompositi
     Fixed at alpha = 1/2; the total is algebraically identical to
     lixi(book, ctx, ScalingParams(0.5)).
     """
-    s = relative_spread(book)
-    total_volume = book.bid_volume + book.ask_volume
-    spread_term = -math.log10(s)
+    gap, mid, total_volume = _book_terms(book)
+    spread_term = -math.log10(gap / mid)
     depth_term = 0.5 * math.log10(total_volume)
     adv_term = 0.5 * math.log10(ctx.adv)
     return LixiDecomposition(spread_term, depth_term, adv_term,

@@ -10,7 +10,7 @@ also combines a basket leg with ETF-share liquidity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 from . import errors
 from .measures import LiquidityIndex, LixKind, as_lix_value
@@ -33,39 +33,38 @@ class BasketPosition:
 
 @dataclass(frozen=True)
 class BasketSpec:
+    """Basket positions whose weights sum to 1 within WEIGHT_TOLERANCE.
+
+    With `normalize`, every weight is divided by the sum instead (real
+    position files rarely sum to 1); `weight_sum` keeps the sum as given.
+    """
+
     positions: tuple[BasketPosition, ...]
     etf_lix: LiquidityIndex | float | None = None
+    weight_sum: float = field(init=False, compare=False, repr=False)
+    normalize: InitVar[bool] = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "positions", tuple(self.positions))
-        if not self.positions:
+    def __post_init__(self, normalize):
+        positions = tuple(self.positions)
+        if not positions:
             raise errors.EmptyBasket("basket has no positions")
-        total = math.fsum(p.beta for p in self.positions)
-        if abs(total - 1.0) > WEIGHT_TOLERANCE:
+        total = math.fsum(p.beta for p in positions)
+        if normalize:
+            positions = tuple(BasketPosition(p.instrument_id, p.beta / total, p.lix)
+                              for p in positions)
+        elif abs(total - 1.0) > WEIGHT_TOLERANCE:
             raise errors.UnnormalizedWeights(
-                f"weights sum to {total}, expected 1; build with strict=False to normalize")
+                f"weights sum to {total}, expected 1 within {WEIGHT_TOLERANCE}; "
+                f"build with strict=False to normalize")
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "weight_sum", total)
         if self.etf_lix is not None:
             as_lix_value(self.etf_lix)
 
     @classmethod
     def build(cls, positions, etf_lix=None, strict=False) -> "BasketSpec":
-        """Construct a basket, normalizing weights unless strict.
-
-        Strict mode rejects weight sums off by more than 1e-9; normalize mode
-        divides every weight by the sum (real position files rarely sum to 1).
-        """
-        positions = tuple(positions)
-        if not positions:
-            raise errors.EmptyBasket("basket has no positions")
-        total = math.fsum(p.beta for p in positions)
-        if strict:
-            if abs(total - 1.0) > WEIGHT_TOLERANCE:
-                raise errors.UnnormalizedWeights(
-                    f"weights sum to {total}, expected 1 within {WEIGHT_TOLERANCE}")
-            return cls(positions, etf_lix)
-        scaled = tuple(
-            BasketPosition(p.instrument_id, p.beta / total, p.lix) for p in positions)
-        return cls(scaled, etf_lix)
+        """Construct a basket, normalizing weights unless strict."""
+        return cls(positions, etf_lix, normalize=not strict)
 
 
 def _neg_log10_weighted_inverse(pairs) -> float:

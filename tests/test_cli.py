@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 
@@ -52,8 +53,16 @@ class TestLixCommand:
     def test_json_format(self, tmp_path):
         code, out, _ = run(["lix", write(tmp_path, "b.csv", BARS),
                             "--format", "json"])
-        payload = json.loads(out)
+        payload = json.loads(out)[0]
         assert payload["lix"] == pytest.approx(8.69897, abs=1e-5)
+
+    def test_json_is_a_list_for_any_row_count(self, tmp_path):
+        two = BARS + "2013-11-21,50,52,49,51,2000000\n"
+        for text, n in ((BARS, 1), (two, 2)):
+            code, out, _ = run(["lix", write(tmp_path, "b.csv", text),
+                                "--format", "json"])
+            assert code == 0
+            assert [set(r) for r in json.loads(out)] == [{"date", "lix"}] * n
 
     def test_missing_file(self):
         code, _, err = run(["lix", "/nonexistent/bars.csv"])
@@ -91,19 +100,32 @@ class TestLixiCommand:
                             "--adv-from", write(tmp_path, "adv.csv", ADV_BARS),
                             "--format", "json"])
         assert code == 0
-        assert json.loads(out)["lixi"] == pytest.approx(5.150515, abs=1e-6)
+        assert json.loads(out)[0]["lixi"] == pytest.approx(5.150515, abs=1e-6)
 
     def test_decompose(self, tmp_path):
         code, out, _ = run(["lixi", write(tmp_path, "book.csv", BOOK),
                             "--adv-from", write(tmp_path, "adv.csv", ADV_BARS),
                             "--decompose", "--format", "json"])
-        payload = json.loads(out)
+        payload = json.loads(out)[0]
         assert payload["spread_term"] == pytest.approx(1.69897, abs=1e-5)
         assert payload["depth_term"] == pytest.approx(1.650515, abs=1e-6)
         assert payload["adv_term"] == pytest.approx(1.80103, abs=1e-5)
 
 
 class TestCostCommand:
+    ARGV = {"--shares": "2", "--price": "1", "--lix": "0", "--slice-t": "100",
+            "--session": "100"}
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--shares", "nan"), ("--shares", "inf"), ("--price", "nan"),
+        ("--price", "inf"), ("--session", "inf"), ("--session", "nan")])
+    def test_non_finite_input_rejected(self, flag, value):
+        argv = dict(self.ARGV, **{flag: value})
+        code, out, err = run(["cost", *(x for kv in argv.items() for x in kv)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_reference(self):
         code, out, _ = run(["cost", "--shares", "2", "--price", "1",
                             "--lix", "0", "--slice-t", "100",
@@ -177,6 +199,23 @@ class TestCalibrateCommand:
         code, _, err = run(["calibrate-alpha", "--model", "bogus"])
         assert code == 2
 
+    ARGV = ["calibrate-alpha", "--paths", "200", "--steps", "100",
+            "--grid", "0.5,1.0"]
+
+    def test_csv_format(self):
+        code, out, _ = run(self.ARGV + ["--format", "csv"])
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["alpha_hat", "stderr", "n_paths", "time_grid"]
+        assert len(rows) == 2 and len(rows[1]) == len(rows[0])
+        assert rows[1][2:] == ["200", "0.500000;1.000000"]
+
+    def test_text_and_json_formats(self):
+        code, out, _ = run(self.ARGV + ["--format", "text", "--precision", "2"])
+        assert code == 0
+        assert out.split("  ")[2:] == ["200", "0.50;1.00\n"]
+        assert json.loads(run(self.ARGV)[1])["time_grid"] == [0.5, 1.0]
+
 
 class TestStudyCommand:
     def test_small_run(self, tmp_path):
@@ -190,6 +229,15 @@ class TestStudyCommand:
                                 "n_points", "n_dropped"}
         header = open(points).readline().strip()
         assert header == "instrument,mean_lix,mean_lixi"
+
+    def test_csv_format(self):
+        code, out, _ = run(["study", "--instruments", "5", "--days", "3",
+                            "--seed", "1", "--snapshots", "5", "--format", "csv"])
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["slope", "intercept", "r_squared", "n_points",
+                           "n_dropped"]
+        assert len(rows) == 2 and len(rows[1]) == len(rows[0])
 
 
 class TestDispatch:
@@ -206,6 +254,14 @@ class TestDispatch:
         code, out, _ = run(["lix", write(tmp_path, "b.csv", BARS),
                             "--precision", "2"])
         assert "8.70" in out and "8.698" not in out
+
+    @pytest.mark.parametrize("value", ["-1", "-2"])
+    def test_negative_precision_rejected(self, tmp_path, capsys, value):
+        code, out, _ = run(["lix", write(tmp_path, "b.csv", BARS),
+                            "--precision", value])
+        assert code == 2
+        assert out == ""
+        assert "integer >= 0" in capsys.readouterr().err  # argparse's usage error
 
     def test_byte_identical_reruns(self, tmp_path):
         argv = ["study", "--instruments", "5", "--days", "3", "--seed", "9",

@@ -58,6 +58,14 @@ class TestParseDailyBars:
             parse_daily_bars(write(tmp_path, "bars.csv", bad))
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("sep", ["\x0c", "\x85", "\u2028"])
+    def test_unicode_line_separator_stays_in_its_field(self, tmp_path, sep):
+        # Only \n, \r and \r\n end a CSV row; other separators are field text.
+        bad = f"date,open,high,low,close,volume\n2013-11-20,5{sep}0,51,50,50,1\n"
+        with pytest.raises(errors.ParseError) as exc:
+            parse_daily_bars(write(tmp_path, "bars.csv", bad))
+        assert (exc.value.line, exc.value.column) == (2, "open")
+
     def test_nan_rejected(self, tmp_path):
         bad = "date,open,high,low,close,volume\n2013-11-20,nan,51,50,50,1\n"
         with pytest.raises(errors.ParseError):
@@ -123,6 +131,13 @@ class TestParseBasketPositions:
         text = "instrument,beta,lix\nAAA,-0.5,6\n"
         with pytest.raises(errors.InvariantViolation):
             parse_basket_positions(write(tmp_path, "pos.csv", text))
+
+    def test_line_after_multiline_quoted_field(self, tmp_path):
+        # The first position's name spans physical lines 2-3.
+        text = 'instrument,beta,lix\n"AAA\nclass B",0.5,6\nBBB,x,9\n'
+        with pytest.raises(errors.ParseError) as exc:
+            parse_basket_positions(write(tmp_path, "pos.csv", text))
+        assert (exc.value.line, exc.value.column) == (4, "beta")
 
 
 class TestComputeAdv:

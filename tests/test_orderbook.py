@@ -46,7 +46,6 @@ class TestLixiTau:
     def test_reference(self):
         book = make_book([(99, 1000)], [(101, 1000)])
         assert lixi_tau(book).value == pytest.approx(5.0, abs=1e-12)
-        assert lixi_tau(book).n_levels == (1, 1)
 
     def test_small_book(self):
         book = make_book([(99.5, 1)], [(100.5, 1)])

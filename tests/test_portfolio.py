@@ -141,6 +141,11 @@ class TestWeights:
         assert sum(p.beta for p in spec.positions) == pytest.approx(1.0, abs=1e-12)
         assert basket_lix(spec).value == pytest.approx(7.0, abs=1e-12)
 
+    def test_weight_sum_is_the_sum_as_given(self):
+        pos = [BasketPosition("A", 2.0, 7.0), BasketPosition("B", 2.0, 7.0)]
+        assert BasketSpec.build(pos).weight_sum == 4.0
+        assert BasketSpec.build(pos[:1], strict=False).weight_sum == 2.0
+
     def test_empty_basket(self):
         with pytest.raises(errors.EmptyBasket):
             BasketSpec.build([])
