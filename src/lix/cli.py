@@ -22,23 +22,28 @@ from .orderbook import lixi, lixi_decomposed
 from .comparative import MultiDayWindow, amihud_illiq, hui_heubel
 
 
-def _default_precision() -> int:
-    try:
-        return max(0, int(os.environ.get("LIX_PRECISION", "6")))
-    except ValueError:
-        return 6
-
-
 def _non_negative_int(text: str) -> int:
     if not text.strip().isdecimal():
         raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
     return int(text)
 
 
+def _env_precision() -> int:
+    """--precision's default: LIX_PRECISION under the flag's rule, else 6."""
+    text = os.environ.get("LIX_PRECISION")
+    if text is None:
+        return 6
+    try:
+        return _non_negative_int(text)
+    except argparse.ArgumentTypeError as exc:
+        raise errors.InvalidParams(f"LIX_PRECISION: {exc}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--precision", type=_non_negative_int, default=_default_precision(),
-                        help="decimal places for numeric output (default 6)")
+    common.add_argument("--precision", type=_non_negative_int, default=None,
+                        help="decimal places for numeric output "
+                             "(default LIX_PRECISION, else 6)")
     common.add_argument("--format", choices=["text", "json", "csv"], default=None,
                         help="output format (default text; json for "
                              "calibrate-alpha and study)")
@@ -320,6 +325,8 @@ def main(argv=None, out=None, err=None) -> int:
     if args.format is None:
         args.format = "json" if args.command in ("calibrate-alpha", "study") else "text"
     try:
+        if args.precision is None:
+            args.precision = _env_precision()
         return _COMMANDS[args.command](args, out, err)
     except errors.LixError as exc:
         print(f"error: {exc}", file=err)

@@ -7,6 +7,7 @@ reverts to P after each slice, which the formulas take as given).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,21 +56,43 @@ class ExecutionPlan:
         return (self.session_length / self.slice_interval) ** (1 - self.alpha)
 
 
+def _finite(cost):
+    """Reject a cost of finite inputs that is out of float range (10^LIX
+    overflowing or underflowing to 0, or an overflowing product) with a
+    typed error instead of OverflowError, ZeroDivisionError or inf."""
+    @functools.wraps(cost)
+    def checked(plan: ExecutionPlan) -> float:
+        try:
+            value = cost(plan)
+        except (OverflowError, ZeroDivisionError):
+            value = math.inf
+        if not math.isfinite(value):
+            raise errors.InvalidParams(
+                f"{cost.__name__} is not a finite number for shares={plan.shares:g}, "
+                f"price={plan.price:g}, lix={plan.lix_value:g}")
+        return value
+    return checked
+
+
+@_finite
 def price_impact(plan: ExecutionPlan) -> float:
     """Price range created by trading all shares during the interval."""
     return plan.shares * plan.price / 10 ** plan.lix_value * plan.time_factor
 
 
+@_finite
 def cost_single_shot(plan: ExecutionPlan) -> float:
     """Worst-case cost of buying everything at once: quadratic in shares."""
     return 0.5 * plan.shares ** 2 * plan.price / 10 ** plan.lix_value * plan.time_factor
 
 
+@_finite
 def cost_sliced(plan: ExecutionPlan) -> float:
     """Cost under one-share slices with full price recovery between slices."""
     return 0.5 * plan.shares * plan.price / 10 ** plan.lix_value * plan.time_factor
 
 
+@_finite
 def cost_per_unit(plan: ExecutionPlan) -> float:
     """Sliced cost per currency unit invested; independent of n and P."""
     return 10 ** (-plan.lix_value) * 0.5 * plan.time_factor

@@ -3,14 +3,15 @@ instantaneous-vs-daily liquidity regression study.
 
 The exponent alpha is estimated by simulating price paths, measuring the
 mean running range at a grid of session fractions, and fitting
-log10(mean range) against log10(fraction) by least squares. The study
-generates a universe of synthetic instruments spanning several decades of
-liquidity, measures each one both ways (daily index averaged over days,
-snapshot index averaged over one day) and regresses one on the other.
+log10(mean range) against log10(realised fraction) by least squares. The
+study generates a universe of synthetic instruments spanning several
+decades of liquidity, measures each one both ways (daily index averaged over
+days, snapshot index averaged over one day) and regresses one on the other.
 
 All randomness is driven by numpy bit generators keyed as
 SeedSequence([seed, stream]); path chunks use a fixed chunk size so results
-are independent of how work is scheduled.
+are independent of how work is scheduled. A chunk of 4096 paths is one
+(4096, steps) float64 buffer, 32 KiB per step (131 MB at 4000 steps).
 """
 
 from __future__ import annotations
@@ -66,28 +67,41 @@ class PathModel:
             raise errors.InvalidParams(f"seed must be non-negative, got {self.seed}")
 
 
-def _increments(model: PathModel, rng: np.random.Generator, shape) -> np.ndarray:
+def _walk(model: PathModel, n_paths: int, seed: int, start_price: float,
+          stream: int) -> np.ndarray:
+    """(n_paths, steps) prices after each step, the start price excluded.
+
+    One buffer is drawn, then scaled, shifted by the drift, summed and
+    offset by the start price in place: the same float operations as
+    start + cumsum(vol * z + drift) (or start * exp(...)), so the values
+    are bit-identical to that formula.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([seed, stream]))
+    shape = (n_paths, model.steps_per_day)
     if model.volatility_per_step == 0:
-        z = np.zeros(shape)
+        walk = np.zeros(shape)
     elif model.kind is WalkKind.STUDENT_T_RETURNS:
-        z = rng.standard_t(model.dof, size=shape) * model.volatility_per_step
+        walk = rng.standard_t(model.dof, size=shape)
     else:
-        z = rng.standard_normal(shape) * model.volatility_per_step
-    return z + model.drift_per_step
+        walk = rng.standard_normal(shape)
+    walk *= model.volatility_per_step
+    walk += model.drift_per_step
+    np.cumsum(walk, axis=1, out=walk)
+    if model.kind is WalkKind.ARITHMETIC_RANDOM_WALK:
+        walk += start_price
+    else:
+        np.exp(walk, out=walk)
+        walk *= start_price
+    return walk
 
 
 def simulate_paths(model: PathModel, n_paths: int, seed: int | None = None,
                    start_price: float = 100.0, stream: int = 0) -> np.ndarray:
     """(n_paths, steps + 1) price paths including the starting price."""
     s = model.seed if seed is None else seed
-    rng = np.random.default_rng(np.random.SeedSequence([s, stream]))
-    inc = _increments(model, rng, (n_paths, model.steps_per_day))
     out = np.empty((n_paths, model.steps_per_day + 1))
     out[:, 0] = start_price
-    if model.kind is WalkKind.ARITHMETIC_RANDOM_WALK:
-        out[:, 1:] = start_price + np.cumsum(inc, axis=1)
-    else:
-        out[:, 1:] = start_price * np.exp(np.cumsum(inc, axis=1))
+    out[:, 1:] = _walk(model, n_paths, s, start_price, stream)
     return out
 
 
@@ -119,11 +133,14 @@ def _ols(x: np.ndarray, y: np.ndarray):
 def estimate_alpha(model: PathModel, n_paths: int, time_grid) -> AlphaEstimate:
     """Fit the range-scaling exponent from the mean running range.
 
-    For each grid fraction f the running high-low range over the first
-    round(f * steps) steps (start price included) is averaged across paths;
-    the slope of log10(mean range) on log10(f) is alpha_hat. Deterministic
-    given (model.seed, n_paths, grid): paths are generated in fixed-size
-    chunks with per-chunk seed streams.
+    Each grid fraction f is realised as step k = round(f * steps) (at least
+    1); the running high-low range over the first k steps (start price
+    included) is averaged across paths, and alpha_hat is the slope of
+    log10(mean range) on log10(k / steps). Fractions that round to the same
+    step are rejected. The requested fractions are echoed in `time_grid`.
+
+    Deterministic given (model.seed, n_paths, grid): paths are generated in
+    fixed-size chunks with per-chunk seed streams.
     """
     grid = tuple(float(f) for f in time_grid)
     if len(set(grid)) != len(grid) or len(grid) < 2:
@@ -133,16 +150,28 @@ def estimate_alpha(model: PathModel, n_paths: int, time_grid) -> AlphaEstimate:
     if n_paths < 1:
         raise errors.InvalidParams("n_paths must be positive")
 
-    idx = np.array([max(1, round(f * model.steps_per_day)) for f in grid])
+    steps = model.steps_per_day
+    idx = np.array([max(1, round(f * steps)) for f in grid])
+    cols, inv = np.unique(idx, return_inverse=True)
+    if len(cols) != len(idx):
+        raise errors.DegenerateGrid(
+            f"time grid fractions {grid} round to repeated steps {idx.tolist()} "
+            f"of {steps}; use more steps or a coarser grid")
+    # The running extremes at the sorted grid steps are the extremes of the
+    # blocks between consecutive steps, accumulated over the blocks and
+    # joined with the start price; nothing past the last step is read.
+    blocks = np.concatenate(([0], cols[:-1]))
+    start_price = 100.0
     sums = np.zeros(len(grid))
     done = 0
     chunk_index = 0
     while done < n_paths:
         m = min(_CHUNK_PATHS, n_paths - done)
-        paths = simulate_paths(model, m, stream=chunk_index)
-        hi = np.maximum.accumulate(paths, axis=1)
-        lo = np.minimum.accumulate(paths, axis=1)
-        sums += (hi[:, idx] - lo[:, idx]).sum(axis=0)
+        walk = _walk(model, m, model.seed, start_price, chunk_index)[:, :cols[-1]]
+        hi = np.maximum.accumulate(np.maximum.reduceat(walk, blocks, axis=1), axis=1)
+        lo = np.minimum.accumulate(np.minimum.reduceat(walk, blocks, axis=1), axis=1)
+        ranges = np.maximum(hi, start_price) - np.minimum(lo, start_price)
+        sums += ranges[:, inv].sum(axis=0)
         done += m
         chunk_index += 1
 
@@ -150,7 +179,7 @@ def estimate_alpha(model: PathModel, n_paths: int, time_grid) -> AlphaEstimate:
     if np.any(mean_range <= 0):
         raise errors.ZeroRange("mean price range is zero on part of the grid; "
                                "the model produces no price movement there")
-    x = np.log10(np.asarray(grid))
+    x = np.log10(idx / steps)
     y = np.log10(mean_range)
     slope, _, _, stderr = _ols(x, y)
     return AlphaEstimate(alpha_hat=slope, stderr=stderr,
@@ -349,8 +378,11 @@ def lixi_vs_lix_study(universe, days: int, seed: int,
 
     Both averages are arithmetic means of log-scale values: daily LIX over
     `days` simulated sessions, LIXI (alpha = 1/2, ADV from the same
-    sessions) over `snapshots_per_day` uniform snapshots of the final day.
-    Instruments whose every day errors out are dropped and counted.
+    sessions) over `snapshots_per_day` uniform snapshots of the last day
+    whose session could be built (the final day unless it errors out). A
+    day counts when its bar and one snapshot can be built. Instruments with
+    no such day, or whose last such day fails with the full book or yields
+    no snapshot index, are dropped and counted.
 
     Returns (RegressionReport, [StudyPoint]).
     """
@@ -363,25 +395,36 @@ def lixi_vs_lix_study(universe, days: int, seed: int,
     for i, inst in enumerate(universe):
         inst_rng = np.random.default_rng(np.random.SeedSequence([seed, 2, i]))
         book = replace(inst.book, n_snapshots=snapshots_per_day, n_windows=1)
+        # Only the last good day's snapshots are read, so every day is first
+        # built with a one-snapshot book and that day is rebuilt with the
+        # full one. The snapshot jitter has its own seed stream, so the
+        # rebuilt day has the same bar and the snapshots it would have had.
+        bar_only = replace(book, n_snapshots=1)
         lix_values = []
-        last_day = None
         volumes = []
+        last = None
         for d in range(days):
             volume = inst.base_volume
             if inst.volume_jitter > 0:
                 volume *= math.exp(inst.volume_jitter * inst_rng.standard_normal())
             day_seed = int(inst_rng.integers(0, 2 ** 62))
+            date = datetime.date(2020, 1, 1) + datetime.timedelta(days=d)
             try:
-                bar, snaps, _ = synth_session(
-                    inst.model, volume, book, seed=day_seed,
-                    instrument_id=inst.instrument_id,
-                    day=datetime.date(2020, 1, 1) + datetime.timedelta(days=d))
+                bar, _, _ = synth_session(inst.model, volume, bar_only, seed=day_seed,
+                                          instrument_id=inst.instrument_id, day=date)
                 lix_values.append(lix_daily(bar).value)
                 volumes.append(volume)
-                last_day = snaps
+                last = (volume, day_seed, date)
             except errors.LixError:
                 continue
-        if not lix_values or last_day is None:
+        if last is None:
+            dropped += 1
+            continue
+        volume, day_seed, date = last
+        try:
+            _, last_day, _ = synth_session(inst.model, volume, book, seed=day_seed,
+                                           instrument_id=inst.instrument_id, day=date)
+        except errors.LixError:
             dropped += 1
             continue
         ctx = AdvContext(adv=sum(volumes) / len(volumes),

@@ -126,6 +126,16 @@ class TestCostCommand:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--lix", "-400"), ("--lix", "400"), ("--shares", "1e200")])
+    def test_out_of_range_result_rejected(self, flag, value):
+        # finite inputs whose costs overflow or divide by an underflowed 10^LIX
+        argv = dict(self.ARGV, **{flag: value})
+        code, out, err = run(["cost", *(x for kv in argv.items() for x in kv)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "finite" in err
+
     def test_reference(self):
         code, out, _ = run(["cost", "--shares", "2", "--price", "1",
                             "--lix", "0", "--slice-t", "100",
@@ -199,6 +209,12 @@ class TestCalibrateCommand:
         code, _, err = run(["calibrate-alpha", "--model", "bogus"])
         assert code == 2
 
+    def test_grid_colliding_at_steps_rejected(self):
+        code, out, err = run(["calibrate-alpha", "--paths", "10", "--steps", "10",
+                              "--grid", "0.1,0.12,1"])
+        assert (code, out) == (2, "")
+        assert "repeated steps" in err
+
     ARGV = ["calibrate-alpha", "--paths", "200", "--steps", "100",
             "--grid", "0.5,1.0"]
 
@@ -262,6 +278,27 @@ class TestDispatch:
         assert code == 2
         assert out == ""
         assert "integer >= 0" in capsys.readouterr().err  # argparse's usage error
+
+    def test_precision_variable(self, tmp_path, monkeypatch):
+        path = write(tmp_path, "b.csv", BARS)
+        monkeypatch.setenv("LIX_PRECISION", "2")
+        assert "8.70" in run(["lix", path])[1]
+        monkeypatch.setenv("LIX_PRECISION", "3")
+        assert "8.699" in run(["lix", path])[1]
+
+    @pytest.mark.parametrize("value", ["abc", "-3", "2.5", ""])
+    def test_bad_precision_variable_rejected(self, tmp_path, monkeypatch, value):
+        monkeypatch.setenv("LIX_PRECISION", value)
+        code, out, err = run(["lix", write(tmp_path, "b.csv", BARS)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: LIX_PRECISION")
+
+    def test_precision_flag_overrides_variable(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("LIX_PRECISION", "abc")
+        code, out, _ = run(["lix", write(tmp_path, "b.csv", BARS),
+                            "--precision", "2"])
+        assert code == 0 and "8.70" in out
 
     def test_byte_identical_reruns(self, tmp_path):
         argv = ["study", "--instruments", "5", "--days", "3", "--seed", "9",

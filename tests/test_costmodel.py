@@ -96,3 +96,17 @@ class TestValidation:
             plan(shares=0)
         with pytest.raises(errors.NonPositivePrice):
             plan(price=0)
+
+    @pytest.mark.parametrize("fn", [price_impact, cost_single_shot,
+                                    cost_sliced, cost_per_unit])
+    def test_underflowed_index_rejected(self, fn):
+        # 10^-400 is 0.0 and 10^400 overflows: no cost is representable
+        with pytest.raises(errors.InvalidParams, match="finite"):
+            fn(plan(lix=-400))
+
+    def test_overflowing_cost_rejected(self):
+        with pytest.raises(errors.InvalidParams, match="finite"):
+            cost_single_shot(plan(shares=1e200))  # shares ** 2 overflows
+        with pytest.raises(errors.InvalidParams, match="finite"):
+            price_impact(plan(shares=1e300, price=1e10))  # inf, no exception
+        assert price_impact(plan(shares=1e200)) == 1e200

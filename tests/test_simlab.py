@@ -1,15 +1,127 @@
+import dataclasses
+import datetime
+
+import numpy as np
 import pytest
 
-from lix import errors, lix_daily, lix_intraday_raw, time_scale_to_daily
+from lix import errors, lix_daily, lix_intraday_raw, simlab, time_scale_to_daily
 from lix.measures import ScalingParams
 from lix.simlab import (AlphaEstimate, BookParams, InstrumentParams, PathModel,
-                        WalkKind, default_universe, estimate_alpha,
-                        exact_scaling_session, lixi_vs_lix_study, synth_session)
+                        WalkKind, _ols, default_universe, estimate_alpha,
+                        exact_scaling_session, lixi_vs_lix_study, simulate_paths,
+                        synth_session)
 
 GRID = [i / 10 for i in range(1, 11)]
 
 RW = PathModel(kind=WalkKind.ARITHMETIC_RANDOM_WALK, steps_per_day=500,
                volatility_per_step=0.01, seed=0)
+
+
+def paths_oracle(model, n_paths, seed, start_price, stream):
+    """simulate_paths as the out-of-place formula start + cumsum(vol * z + drift)."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, stream]))
+    shape = (n_paths, model.steps_per_day)
+    if model.volatility_per_step == 0:
+        z = np.zeros(shape)
+    elif model.kind is WalkKind.STUDENT_T_RETURNS:
+        z = rng.standard_t(model.dof, size=shape) * model.volatility_per_step
+    else:
+        z = rng.standard_normal(shape) * model.volatility_per_step
+    inc = z + model.drift_per_step
+    out = np.empty((n_paths, model.steps_per_day + 1))
+    out[:, 0] = start_price
+    if model.kind is WalkKind.ARITHMETIC_RANDOM_WALK:
+        out[:, 1:] = start_price + np.cumsum(inc, axis=1)
+    else:
+        out[:, 1:] = start_price * np.exp(np.cumsum(inc, axis=1))
+    return out
+
+
+def alpha_oracle(model, n_paths, grid):
+    """(alpha_hat, stderr) from running extremes over every step of whole
+    simulate_paths chunks, read at the realised grid steps."""
+    steps = model.steps_per_day
+    idx = np.array([max(1, round(f * steps)) for f in grid])
+    sums = np.zeros(len(grid))
+    for chunk, done in enumerate(range(0, n_paths, 4096)):
+        paths = simulate_paths(model, min(4096, n_paths - done), stream=chunk)
+        hi = np.maximum.accumulate(paths, axis=1)
+        lo = np.minimum.accumulate(paths, axis=1)
+        sums += (hi[:, idx] - lo[:, idx]).sum(axis=0)
+    slope, _, _, stderr = _ols(np.log10(idx / steps), np.log10(sums / n_paths))
+    return slope, stderr
+
+
+ORACLE_CASES = {
+    "rw": (PathModel(kind=WalkKind.ARITHMETIC_RANDOM_WALK, steps_per_day=200,
+                     volatility_per_step=0.01, seed=5), 300, GRID),
+    "gauss": (PathModel(kind=WalkKind.GAUSSIAN_RETURNS, steps_per_day=150,
+                        volatility_per_step=0.002, seed=6, drift_per_step=1e-4),
+              300, GRID),
+    "t3": (PathModel(kind=WalkKind.STUDENT_T_RETURNS, dof=3, steps_per_day=150,
+                     volatility_per_step=0.001, seed=7), 300, GRID),
+    "drift_only": (PathModel(kind=WalkKind.ARITHMETIC_RANDOM_WALK, steps_per_day=100,
+                             volatility_per_step=0.0, drift_per_step=0.01, seed=0),
+                   50, GRID),
+    "unsorted_grid": (RW, 300, [0.7, 0.05, 1.0, 0.333, 0.5, 0.12]),
+    "two_chunks": (PathModel(kind=WalkKind.ARITHMETIC_RANDOM_WALK, steps_per_day=40,
+                             volatility_per_step=0.01, seed=8), 4096 + 37, GRID),
+}
+
+
+class TestBitIdentity:
+    """The in-place walk and block extrema reproduce the full-path formulas
+    to the last bit (0 ulps)."""
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_estimate_alpha_matches_full_path_oracle(self, case):
+        model, n_paths, grid = ORACLE_CASES[case]
+        est = estimate_alpha(model, n_paths, grid)
+        assert (est.alpha_hat, est.stderr) == alpha_oracle(model, n_paths, grid)
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_simulate_paths_matches_out_of_place_formula(self, case):
+        model = ORACLE_CASES[case][0]
+        for seed, start, stream in [(None, 100.0, 0), (11, 37.5, 3)]:
+            paths = simulate_paths(model, 9, seed=seed, start_price=start,
+                                   stream=stream)
+            expected = paths_oracle(model, 9, model.seed if seed is None else seed,
+                                    start, stream)
+            assert paths.shape == expected.shape
+            assert (paths == expected).all()
+
+    def test_study_golden(self):
+        report, points = lixi_vs_lix_study(default_universe(4, seed=5), days=3,
+                                           seed=5, snapshots_per_day=6)
+        assert repr(report) == (
+            "RegressionReport(slope=0.9779117490292107, intercept=0.18598377052660808, "
+            "r_squared=0.9960315223853798, n_points=4, n_dropped=0)")
+        assert [(p.mean_lix, p.mean_lixi) for p in points] == [
+            (5.28161071040736, 5.274536884900969),
+            (6.728461237420505, 6.933481752953465),
+            (8.47558776923532, 8.352609883669185),
+            (10.079720910474352, 10.073551389801603)]
+
+    def test_study_reads_last_good_day_when_final_day_fails(self, monkeypatch):
+        # A failed final day leaves the other days' draws as they were, so
+        # the study equals the one that stops a day earlier.
+        universe = default_universe(4, seed=5)
+        expected = lixi_vs_lix_study(universe, days=3, seed=5, snapshots_per_day=6)
+        final = datetime.date(2020, 1, 4)
+        real = simlab.synth_session
+        full_books = []
+
+        def failing_final_day(model, volume, book, **kw):
+            if kw["day"] == final:
+                raise errors.InvalidParams("synthetic failure")
+            if book.n_snapshots == 6:
+                full_books.append(kw["day"])
+            return real(model, volume, book, **kw)
+
+        monkeypatch.setattr(simlab, "synth_session", failing_final_day)
+        got = lixi_vs_lix_study(universe, days=4, seed=5, snapshots_per_day=6)
+        assert got == expected
+        assert full_books == [final - datetime.timedelta(days=1)] * 4
 
 
 class TestEstimateAlpha:
@@ -46,6 +158,18 @@ class TestEstimateAlpha:
             estimate_alpha(RW, 1000, [0.0, 0.5, 1.0])
         with pytest.raises(errors.DegenerateGrid):
             estimate_alpha(RW, 1000, [0.5, 1.0, 1.5])
+        ten_steps = dataclasses.replace(RW, steps_per_day=10)
+        with pytest.raises(errors.DegenerateGrid):  # both round to step 1
+            estimate_alpha(ten_steps, 100, [0.1, 0.12, 1.0])
+
+    def test_regresses_on_realised_grid(self):
+        # with 10 steps, f = 0.15 rounds to step 2 and measures f = 0.2
+        model = dataclasses.replace(RW, steps_per_day=10)
+        requested = estimate_alpha(model, 500, [0.15, 0.5, 1.0])
+        realised = estimate_alpha(model, 500, [0.2, 0.5, 1.0])
+        assert (requested.alpha_hat, requested.stderr) == (
+            realised.alpha_hat, realised.stderr)
+        assert requested.time_grid == (0.15, 0.5, 1.0)
 
     def test_flat_model_raises(self):
         model = PathModel(kind=WalkKind.ARITHMETIC_RANDOM_WALK, steps_per_day=100,
