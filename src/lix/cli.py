@@ -154,10 +154,16 @@ def _emit_rows(rows, args, out, fmt=None):
         print(sep.join(_cell(v, p) for v in r.values()), file=out)
 
 
-def _cmd_lix(args, out, err):
-    bars = data_io.parse_daily_bars(args.bars)
+def _read_bars(path):
+    """The bars of a bar file that must hold at least one data row."""
+    bars = data_io.parse_daily_bars(path)
     if not bars:
-        raise errors.EmptyDataset(f"{args.bars}: no data rows")
+        raise errors.EmptyDataset(f"{path}: no data rows")
+    return bars
+
+
+def _cmd_lix(args, out, err):
+    bars = _read_bars(args.bars)
     if args.date:
         try:
             wanted = datetime.date.fromisoformat(args.date)
@@ -241,9 +247,7 @@ def _cmd_basket(args, out, err):
 
 
 def _cmd_compare(args, out, err):
-    bars = data_io.parse_daily_bars(args.bars)
-    if not bars:
-        raise errors.EmptyDataset(f"{args.bars}: no data rows")
+    bars = _read_bars(args.bars)
     window = MultiDayWindow(bars=tuple(bars),
                             shares_outstanding=args.shares_outstanding)
     rows = [{"measure": "lix", "value": lix_daily(bars[-1]).value},

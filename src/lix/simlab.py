@@ -10,8 +10,9 @@ days, snapshot index averaged over one day) and regresses one on the other.
 
 All randomness is driven by numpy bit generators keyed as
 SeedSequence([seed, stream]); path chunks use a fixed chunk size so results
-are independent of how work is scheduled. A chunk of 4096 paths is one
-(4096, steps) float64 buffer, 32 KiB per step (131 MB at 4000 steps).
+are independent of how work is scheduled. Each chunk of 4096 paths is walked
+a block of paths at a time through one reused buffer of about 1 MiB; the
+chunk's ranges take 8 * len(grid) bytes per path, twice that while summed.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .measures import DailyBar, IntradayWindow, ScalingParams, lix_daily
 from .orderbook import AdvContext, BookLevel, OrderBookSnapshot, lixi
 
 _CHUNK_PATHS = 4096  # fixed so chunking never changes results
+_BLOCK_BYTES = 2 ** 20  # a block of walked paths fits in a 2 MiB L2 cache
 
 
 class WalkKind(enum.Enum):
@@ -67,41 +69,43 @@ class PathModel:
             raise errors.InvalidParams(f"seed must be non-negative, got {self.seed}")
 
 
-def _walk(model: PathModel, n_paths: int, seed: int, start_price: float,
-          stream: int) -> np.ndarray:
-    """(n_paths, steps) prices after each step, the start price excluded.
+def _walk(model: PathModel, rng: np.random.Generator, start_price: float,
+          out: np.ndarray) -> np.ndarray:
+    """Fill out, a C-contiguous (rows, steps) array, with prices after each
+    step (the start price excluded), drawing from rng; return it.
 
-    One buffer is drawn, then scaled, shifted by the drift, summed and
-    offset by the start price in place: the same float operations as
-    start + cumsum(vol * z + drift) (or start * exp(...)), so the values
-    are bit-identical to that formula.
+    The draw is scaled, shifted by the drift, summed and offset by the start
+    price in place: the same float operations as start + cumsum(vol * z +
+    drift) (or start * exp(...)), so the values are bit-identical to that
+    formula. Draws are sequential, so filling successive row blocks of a
+    matrix from one generator gives the values of filling it at once.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, stream]))
-    shape = (n_paths, model.steps_per_day)
     if model.volatility_per_step == 0:
-        walk = np.zeros(shape)
+        out.fill(0.0)
     elif model.kind is WalkKind.STUDENT_T_RETURNS:
-        walk = rng.standard_t(model.dof, size=shape)
+        out[...] = rng.standard_t(model.dof, size=out.shape)
     else:
-        walk = rng.standard_normal(shape)
-    walk *= model.volatility_per_step
-    walk += model.drift_per_step
-    np.cumsum(walk, axis=1, out=walk)
+        rng.standard_normal(out=out)
+    out *= model.volatility_per_step
+    out += model.drift_per_step
+    np.cumsum(out, axis=1, out=out)
     if model.kind is WalkKind.ARITHMETIC_RANDOM_WALK:
-        walk += start_price
+        out += start_price
     else:
-        np.exp(walk, out=walk)
-        walk *= start_price
-    return walk
+        np.exp(out, out=out)
+        out *= start_price
+    return out
 
 
 def simulate_paths(model: PathModel, n_paths: int, seed: int | None = None,
                    start_price: float = 100.0, stream: int = 0) -> np.ndarray:
     """(n_paths, steps + 1) price paths including the starting price."""
     s = model.seed if seed is None else seed
+    rng = np.random.default_rng(np.random.SeedSequence([s, stream]))
     out = np.empty((n_paths, model.steps_per_day + 1))
     out[:, 0] = start_price
-    out[:, 1:] = _walk(model, n_paths, s, start_price, stream)
+    out[:, 1:] = _walk(model, rng, start_price,
+                       np.empty((n_paths, model.steps_per_day)))
     return out
 
 
@@ -138,6 +142,8 @@ def estimate_alpha(model: PathModel, n_paths: int, time_grid) -> AlphaEstimate:
     included) is averaged across paths, and alpha_hat is the slope of
     log10(mean range) on log10(k / steps). Fractions that round to the same
     step are rejected. The requested fractions are echoed in `time_grid`.
+    A mean range that is not finite (the prices overflow) raises
+    InvalidParams.
 
     Deterministic given (model.seed, n_paths, grid): paths are generated in
     fixed-size chunks with per-chunk seed streams.
@@ -159,23 +165,40 @@ def estimate_alpha(model: PathModel, n_paths: int, time_grid) -> AlphaEstimate:
             f"of {steps}; use more steps or a coarser grid")
     # The running extremes at the sorted grid steps are the extremes of the
     # blocks between consecutive steps, accumulated over the blocks and
-    # joined with the start price; nothing past the last step is read.
+    # joined with the start price; nothing past the last step is read. The
+    # ranges are row-local, so each chunk is walked a block of paths at a
+    # time through one reused buffer; they are summed over the whole chunk
+    # at once, since summing per block would change the rounding.
     blocks = np.concatenate(([0], cols[:-1]))
     start_price = 100.0
+    block_paths = max(1, _BLOCK_BYTES // (8 * steps))
+    buf = np.empty((min(block_paths, n_paths), steps))
     sums = np.zeros(len(grid))
     done = 0
     chunk_index = 0
     while done < n_paths:
         m = min(_CHUNK_PATHS, n_paths - done)
-        walk = _walk(model, m, model.seed, start_price, chunk_index)[:, :cols[-1]]
-        hi = np.maximum.accumulate(np.maximum.reduceat(walk, blocks, axis=1), axis=1)
-        lo = np.minimum.accumulate(np.minimum.reduceat(walk, blocks, axis=1), axis=1)
-        ranges = np.maximum(hi, start_price) - np.minimum(lo, start_price)
+        seq = np.random.SeedSequence([model.seed, chunk_index])
+        rng = np.random.default_rng(seq)
+        ranges = np.empty((m, len(cols)))
+        for r in range(0, m, block_paths):
+            walk = _walk(model, rng, start_price,
+                         buf[:min(block_paths, m - r)])[:, :cols[-1]]
+            hi = np.maximum.accumulate(
+                np.maximum.reduceat(walk, blocks, axis=1), axis=1)
+            lo = np.minimum.accumulate(
+                np.minimum.reduceat(walk, blocks, axis=1), axis=1)
+            ranges[r:r + len(walk)] = (np.maximum(hi, start_price)
+                                       - np.minimum(lo, start_price))
         sums += ranges[:, inv].sum(axis=0)
         done += m
         chunk_index += 1
 
     mean_range = sums / n_paths
+    if not np.all(np.isfinite(mean_range)):
+        raise errors.InvalidParams(
+            f"mean price range is not finite at volatility_per_step "
+            f"{model.volatility_per_step}; the simulated prices overflow")
     if np.any(mean_range <= 0):
         raise errors.ZeroRange("mean price range is zero on part of the grid; "
                                "the model produces no price movement there")
@@ -247,6 +270,7 @@ def synth_session(model: PathModel, daily_volume: float, book_params: BookParams
         raise errors.InvalidParams(
             "price path crossed zero; lower volatility or drift")
     steps = model.steps_per_day
+    levels = book_params.levels
 
     bar = DailyBar(instrument_id=instrument_id, date=day,
                    open=float(prices[0]), high=float(prices.max()),
@@ -266,8 +290,10 @@ def synth_session(model: PathModel, daily_volume: float, book_params: BookParams
             * math.sqrt(depth / daily_volume)
         if book_params.spread_jitter > 0:
             spread *= math.exp(book_params.spread_jitter * rng.standard_normal())
-        spread = min(spread, 1.8 * mid)  # keep deep bid levels positive
-        snapshots.append(_snapshot_at(mid, depth, spread, book_params.levels, t))
+        # The deepest bid sits spread * levels / (levels + 1) below mid, so
+        # this cap keeps it at or above 0.1 * mid at any depth.
+        spread = min(spread, 0.9 * mid * (levels + 1) / levels)
+        snapshots.append(_snapshot_at(mid, depth, spread, levels, t))
 
     hi = np.maximum.accumulate(prices)
     lo = np.minimum.accumulate(prices)

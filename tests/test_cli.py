@@ -196,6 +196,14 @@ class TestCompareCommand:
         assert float(values["amihud_illiq"]) == 0.0
 
 
+class TestEmptyBarFile:
+    @pytest.mark.parametrize("argv", [["lix"], ["compare", "--shares-outstanding", "1e8"]])
+    def test_header_only_file_rejected(self, tmp_path, argv):
+        path = write(tmp_path, "b.csv", "date,open,high,low,close,volume\n")
+        code, out, err = run([argv[0], path] + argv[1:])
+        assert (code, out, err) == (2, "", f"error: {path}: no data rows\n")
+
+
 class TestCalibrateCommand:
     def test_small_run(self):
         code, out, _ = run(["calibrate-alpha", "--model", "rw",
@@ -208,6 +216,12 @@ class TestCalibrateCommand:
     def test_bad_model(self):
         code, _, err = run(["calibrate-alpha", "--model", "bogus"])
         assert code == 2
+
+    def test_overflowing_model_rejected(self):
+        code, out, err = run(["calibrate-alpha", "--model", "gauss", "--vol", "100",
+                              "--paths", "10", "--steps", "10"])
+        assert (code, out) == (2, "")
+        assert "not finite" in err and "nan" not in err.lower()
 
     def test_grid_colliding_at_steps_rejected(self):
         code, out, err = run(["calibrate-alpha", "--paths", "10", "--steps", "10",

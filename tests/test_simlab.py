@@ -1,5 +1,6 @@
 import dataclasses
 import datetime
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,6 +68,17 @@ ORACLE_CASES = {
     "two_chunks": (PathModel(kind=WalkKind.ARITHMETIC_RANDOM_WALK, steps_per_day=40,
                              volatility_per_step=0.01, seed=8), 4096 + 37, GRID),
 }
+# Path counts at the edges of estimate_alpha's walk blocks of B paths, one
+# chunk and two.
+for _name, _model in {
+        "rw": PathModel(kind=WalkKind.ARITHMETIC_RANDOM_WALK, steps_per_day=500,
+                        volatility_per_step=0.01, seed=9),
+        "t3": PathModel(kind=WalkKind.STUDENT_T_RETURNS, dof=3, steps_per_day=1000,
+                        volatility_per_step=0.001, seed=10)}.items():
+    _b = simlab._BLOCK_BYTES // (8 * _model.steps_per_day)
+    for _label, _n in {"1": 1, "B-1": _b - 1, "B": _b, "B+1": _b + 1,
+                       "4096+B+1": 4096 + _b + 1}.items():
+        ORACLE_CASES[f"{_name}_paths_{_label}"] = (_model, _n, GRID)
 
 
 class TestBitIdentity:
@@ -171,6 +183,24 @@ class TestEstimateAlpha:
             realised.alpha_hat, realised.stderr)
         assert requested.time_grid == (0.15, 0.5, 1.0)
 
+    def test_overflowing_model_raises(self):
+        # exp overflows to inf; the mean range must not reach the fit as inf
+        model = PathModel(kind=WalkKind.GAUSSIAN_RETURNS, steps_per_day=10,
+                          volatility_per_step=100.0, seed=0)
+        with pytest.raises(errors.InvalidParams, match="volatility_per_step 100"):
+            estimate_alpha(model, 10, GRID)
+
+    def test_memory_is_one_block_not_one_chunk(self):
+        # one chunk of 4096 paths x 1000 steps would be a 32.8 MB buffer
+        model = dataclasses.replace(RW, steps_per_day=1000)
+        tracemalloc.start()
+        try:
+            estimate_alpha(model, 4096, GRID)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
     def test_flat_model_raises(self):
         model = PathModel(kind=WalkKind.ARITHMETIC_RANDOM_WALK, steps_per_day=100,
                           volatility_per_step=0.0, seed=0)
@@ -223,6 +253,19 @@ class TestSynthSession:
             assert len(snaps) == self.BOOK.n_snapshots
             assert len(windows) == self.BOOK.n_windows
             assert bar.low <= bar.open <= bar.high
+
+    @pytest.mark.parametrize("levels", [1, 5, 10])
+    def test_volatile_books_stay_positive_at_any_depth(self, levels):
+        # a wide realised range makes the spread cap bind on many snapshots
+        model = PathModel(kind=WalkKind.GAUSSIAN_RETURNS, steps_per_day=100,
+                          volatility_per_step=0.3, seed=0)
+        book = BookParams(levels=levels)
+        for seed in range(50):
+            _, snaps, _ = synth_session(model, 1e6, book, seed=seed)
+            assert len(snaps) == book.n_snapshots
+            for snap in snaps:
+                assert len(snap.bids) == len(snap.asks) == levels
+                assert min(lvl.price for lvl in snap.bids) > 0
 
 
 class TestExactScalingSession:
