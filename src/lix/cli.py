@@ -16,9 +16,9 @@ import os
 import sys
 
 from . import costmodel, data_io, errors, portfolio, simlab
-from .measures import (IntradayWindow, ScalingParams, lix_daily,
+from .measures import (IntradayWindow, ScalingParams, lix_daily, lix_daily_many,
                        lix_intraday_raw, time_scale_to_daily)
-from .orderbook import lixi, lixi_decomposed
+from .orderbook import lixi_decomposed_many, lixi_many
 from .comparative import MultiDayWindow, amihud_illiq, hui_heubel
 
 
@@ -156,8 +156,8 @@ def _emit_rows(rows, args, out, fmt=None):
 
 def _read_bars(path):
     """The bars of a bar file that must hold at least one data row."""
-    bars = data_io.parse_daily_bars(path)
-    if not bars:
+    bars = data_io.read_bars(path)
+    if not len(bars):
         raise errors.EmptyDataset(f"{path}: no data rows")
     return bars
 
@@ -169,17 +169,18 @@ def _cmd_lix(args, out, err):
             wanted = datetime.date.fromisoformat(args.date)
         except ValueError:
             raise errors.ParseError(f"bad --date {args.date!r}") from None
-        bars = [b for b in bars if b.date == wanted]
-        if not bars:
+        if wanted not in bars.dates:
             raise errors.EmptyDataset(f"no bar for {wanted} in {args.bars}")
+        i = bars.dates.index(wanted)
+        bars = bars[i:i + 1]
     rows = []
     skipped = 0
-    for b in bars:
-        try:
-            rows.append({"date": b.date.isoformat(), "lix": lix_daily(b).value})
-        except errors.LixError as exc:
+    for day, value in zip(bars.dates, lix_daily_many(bars)):
+        if isinstance(value, errors.LixError):
             skipped += 1
-            print(f"warning: {b.date}: {exc}", file=err)
+            print(f"warning: {day}: {value}", file=err)
+        else:
+            rows.append({"date": day.isoformat(), "lix": value})
     if skipped:
         print(f"warning: skipped {skipped} day(s) with undefined index", file=err)
     if not rows:
@@ -200,18 +201,20 @@ def _cmd_lix_intraday(args, out, err):
 
 
 def _cmd_lixi(args, out, err):
-    snapshots = data_io.parse_book_snapshots(args.snapshots)
-    if not snapshots:
+    books = data_io.read_books(args.snapshots)
+    if not len(books):
         raise errors.EmptyDataset(f"{args.snapshots}: no snapshots")
-    bars = data_io.parse_daily_bars(args.adv_from)
-    ctx = data_io.compute_adv(bars, window_days=args.adv_window)
+    ctx = data_io.compute_adv(_read_bars(args.adv_from), window_days=args.adv_window)
     params = ScalingParams(args.alpha)
+    values = lixi_many(books, ctx, params)
+    parts = lixi_decomposed_many(books, ctx) if args.decompose else [None] * len(values)
     rows = []
-    for snap in snapshots:
-        row = {"timestamp": snap.timestamp,
-               "lixi": lixi(snap, ctx, params).value}
+    for timestamp, value, d in zip(books.timestamps.tolist(), values, parts):
+        for result in (value, d):
+            if isinstance(result, errors.LixError):
+                raise result
+        row = {"timestamp": timestamp, "lixi": value}
         if args.decompose:
-            d = lixi_decomposed(snap, ctx)
             row.update(spread_term=d.spread_term, depth_term=d.depth_term,
                        adv_term=d.adv_term)
         rows.append(row)
@@ -248,8 +251,7 @@ def _cmd_basket(args, out, err):
 
 def _cmd_compare(args, out, err):
     bars = _read_bars(args.bars)
-    window = MultiDayWindow(bars=tuple(bars),
-                            shares_outstanding=args.shares_outstanding)
+    window = MultiDayWindow(bars=bars, shares_outstanding=args.shares_outstanding)
     rows = [{"measure": "lix", "value": lix_daily(bars[-1]).value},
             {"measure": "hui_heubel", "value": hui_heubel(window)},
             {"measure": "amihud_illiq", "value": amihud_illiq(window)}]

@@ -2,7 +2,8 @@
 
 Hui-Heubel relates the five-day relative price range to turnover of the
 float; Amihud's ILLIQ averages |daily return| per dollar traded. Both use
-the dollar-volume proxy close * volume per day.
+the dollar-volume proxy close * volume per day, and both read the window's
+bars as columns.
 """
 
 from __future__ import annotations
@@ -10,30 +11,39 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import errors
-from .measures import DailyBar
+from .measures import Bars
 
 HUI_HEUBEL_DAYS = 5  # fixed by the cited definition; not configurable
 
 
 @dataclass(frozen=True)
 class MultiDayWindow:
-    """Consecutive daily bars for one instrument plus its share count."""
+    """Consecutive daily bars for one instrument plus its share count.
 
-    bars: tuple[DailyBar, ...]
+    `bars` is given as Bars or as DailyBar records, and kept as Bars.
+    """
+
+    bars: Bars
     shares_outstanding: float
 
     def __post_init__(self):
-        object.__setattr__(self, "bars", tuple(self.bars))
-        if not self.bars:
-            raise errors.EmptyDataset("window has no bars")
-        ids = {b.instrument_id for b in self.bars}
-        if len(ids) > 1:
-            raise errors.InvariantViolation(f"mixed instruments in window: {sorted(ids)}")
-        for prev, cur in zip(self.bars, self.bars[1:]):
-            if cur.date <= prev.date:
+        if not isinstance(self.bars, Bars):
+            records = tuple(self.bars)
+            ids = {b.instrument_id for b in records}
+            if len(ids) > 1:
                 raise errors.InvariantViolation(
-                    f"dates not strictly increasing at {cur.date}")
+                    f"mixed instruments in window: {sorted(ids)}")
+            object.__setattr__(self, "bars", Bars.of(records))
+        if not len(self.bars):
+            raise errors.EmptyDataset("window has no bars")
+        dates = self.bars.dates
+        for prev, cur in zip(dates, dates[1:]):
+            if cur <= prev:
+                raise errors.InvariantViolation(
+                    f"dates not strictly increasing at {cur}")
         if not (math.isfinite(self.shares_outstanding) and self.shares_outstanding > 0):
             raise errors.InvalidParams(
                 f"shares_outstanding must be positive, got {self.shares_outstanding}")
@@ -51,14 +61,14 @@ def hui_heubel(w: MultiDayWindow) -> float:
         raise errors.InsufficientData(
             f"need {HUI_HEUBEL_DAYS} bars, got {len(w.bars)}")
     recent = w.bars[-HUI_HEUBEL_DAYS:]
-    p_high = max(b.high for b in recent)
-    p_low = min(b.low for b in recent)
+    p_high = max(recent.high.tolist())
+    p_low = min(recent.low.tolist())
     if p_high == p_low:
         raise errors.ZeroRange("no price range over the five-day window")
-    dollar_volume = sum(b.close * b.volume for b in recent)
+    dollar_volume = sum((recent.close * recent.volume).tolist())
     if dollar_volume <= 0:
         raise errors.ZeroDollarVolume("zero dollar volume over the five-day window")
-    mean_close = sum(b.close for b in recent) / len(recent)
+    mean_close = sum(recent.close.tolist()) / len(recent)
     return ((p_high - p_low) / p_low) / (dollar_volume / (w.shares_outstanding * mean_close))
 
 
@@ -68,15 +78,16 @@ def amihud_illiq(w: MultiDayWindow) -> float:
     A volatile day whose close matches the previous close contributes zero,
     which is exactly the pathology the range-based index avoids.
     """
-    if len(w.bars) < 2:
+    bars = w.bars
+    if len(bars) < 2:
         raise errors.InsufficientData("need at least 2 bars for a return")
-    total = 0.0
-    n = 0
-    for prev, cur in zip(w.bars, w.bars[1:]):
-        dollar_volume = cur.close * cur.volume
-        if dollar_volume <= 0:
-            raise errors.ZeroDollarVolume(f"zero dollar volume on {cur.date}")
-        r = cur.close / prev.close - 1.0
-        total += abs(r) / dollar_volume
-        n += 1
-    return total / n
+    dollar_volume = bars.close[1:] * bars.volume[1:]
+    unpriced = (dollar_volume <= 0).nonzero()[0].tolist()
+    if bars.close[0] == 0 and unpriced[:1] != [0]:
+        raise errors.NonPositivePrice(
+            f"close is zero on {bars.dates[0]}, so the next day's return is undefined")
+    if unpriced:
+        raise errors.ZeroDollarVolume(f"zero dollar volume on {bars.dates[unpriced[0] + 1]}")
+    terms = np.abs(bars.close[1:] / bars.close[:-1] - 1.0) / dollar_volume
+    # Summed in day order, as a running total.
+    return np.add.accumulate(terms)[-1].item() / len(terms)

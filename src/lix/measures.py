@@ -4,6 +4,10 @@ LIX is the base-10 log of consideration (volume x price) divided by the
 price range over the measurement interval. Intraday values are mapped onto
 the daily scale by assuming volume grows linearly with elapsed session time
 while the price range grows like t**alpha (alpha = 1/2 for a random walk).
+
+`DailyBar` is one day; `Bars` holds a file's days as columns, and
+`lix_daily_many` computes the index over them without building a record
+per day.
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ import datetime
 import enum
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import errors
 
@@ -34,8 +40,22 @@ class LiquidityIndex:
     kind: LixKind
 
     def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise errors.InvalidParams(f"liquidity index must be finite, got {self.value}")
+        _finite_index(self.value)
+
+
+def _finite_index(value: float) -> float:
+    if not math.isfinite(value):
+        raise errors.InvalidParams(f"liquidity index must be finite, got {value}")
+    return value
+
+
+def _log10(x: float) -> float:
+    """math.log10 of a measure's ratio, which is >= 0 by its checks.
+
+    A ratio that underflowed to 0 or overflowed to inf has no finite index
+    and raises InvalidParams, as a non-finite LiquidityIndex does.
+    """
+    return _finite_index(math.log10(x) if x != 0 else -math.inf)
 
 
 def as_lix_value(lix: LiquidityIndex | float) -> float:
@@ -73,6 +93,52 @@ class DailyBar:
                 f"close {self.close} outside [low, high] = [{self.low}, {self.high}]")
         if self.volume < 0:
             raise errors.InvariantViolation(f"volume must be non-negative, got {self.volume}")
+
+
+@dataclass(frozen=True, eq=False)
+class Bars:
+    """One instrument's daily bars as columns, in ascending date order.
+
+    `dates` is a tuple of distinct dates; the prices and volumes are float64
+    arrays of the same length. The columns are not checked here: build
+    Bars with `data_io.read_bars`, which checks every row as DailyBar does,
+    or with `Bars.of` from DailyBar records. Indexing gives a DailyBar
+    record, slicing gives Bars.
+    """
+
+    instrument_id: str
+    dates: tuple
+    open: np.ndarray
+    high: np.ndarray
+    low: np.ndarray
+    close: np.ndarray
+    volume: np.ndarray
+
+    @classmethod
+    def of(cls, bars) -> "Bars":
+        """Columns of DailyBar records of one instrument, kept in their order."""
+        bars = tuple(bars)
+        instrument = bars[0].instrument_id if bars else ""
+        return cls(instrument, tuple(b.date for b in bars),
+                   *(np.array([getattr(b, name) for b in bars], dtype=float)
+                     for name in ("open", "high", "low", "close", "volume")))
+
+    def _columns(self):
+        return self.open, self.high, self.low, self.close, self.volume
+
+    def __len__(self) -> int:
+        return len(self.dates)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return Bars(self.instrument_id, self.dates[key],
+                        *(c[key] for c in self._columns()))
+        return DailyBar(self.instrument_id, self.dates[key],
+                        *(float(c[key]) for c in self._columns()))
+
+    def __iter__(self):
+        for date, *values in zip(self.dates, *(c.tolist() for c in self._columns())):
+            yield DailyBar(self.instrument_id, date, *values)
 
 
 @dataclass(frozen=True)
@@ -121,11 +187,31 @@ def _check_range_volume_price(high, low, volume, price):
         raise errors.NonPositivePrice(f"price must be positive, got {price}")
 
 
+def _lix_ratio(volume, price, high, low):
+    # Consideration over range, for floats and float64 arrays alike.
+    return volume * price / (high - low)
+
+
 def lix_daily(bar: DailyBar) -> LiquidityIndex:
     """Daily liquidity index: log10(volume x close / (high - low))."""
     _check_range_volume_price(bar.high, bar.low, bar.volume, bar.close)
-    value = math.log10(bar.volume * bar.close / (bar.high - bar.low))
+    value = _log10(_lix_ratio(bar.volume, bar.close, bar.high, bar.low))
     return LiquidityIndex(value, LixKind.DAILY)
+
+
+def lix_daily_many(bars: Bars) -> list:
+    """Daily LIX of every bar, in order: the value of lix_daily(bar), or the
+    LixError it raises for that bar."""
+    with np.errstate(all="ignore"):  # undefined days are rerun one by one
+        ratio = _lix_ratio(bars.volume, bars.close, bars.high, bars.low)
+    checked = (bars.high != bars.low) & (bars.volume != 0) & (bars.close > 0)
+    out = []
+    for i, (x, ok) in enumerate(zip(ratio.tolist(), checked.tolist())):
+        try:
+            out.append(_log10(x) if ok else lix_daily(bars[i]).value)
+        except errors.LixError as exc:
+            out.append(exc)
+    return out
 
 
 def lix_intraday_raw(w: IntradayWindow) -> LiquidityIndex:
@@ -134,7 +220,7 @@ def lix_intraday_raw(w: IntradayWindow) -> LiquidityIndex:
     Use time_scale_to_daily to map the result onto the daily scale.
     """
     _check_range_volume_price(w.high_t, w.low_t, w.cum_volume, w.last_price)
-    value = math.log10(w.cum_volume * w.last_price / (w.high_t - w.low_t))
+    value = _log10(_lix_ratio(w.cum_volume, w.last_price, w.high_t, w.low_t))
     return LiquidityIndex(value, LixKind.INTRADAY_RAW)
 
 

@@ -4,6 +4,12 @@ LIXI reads liquidity off a single book snapshot: total displayed volume
 times midprice, divided by the gap between the volume-weighted ask and bid
 prices (the effective spread of an order that wipes out the book). An
 ADV-based correction makes the value comparable to daily LIX.
+
+`Books` holds many snapshots as arrays, one (n_books, depth) price and
+volume array per side. One kernel computes each book's VWAP gap, touch
+midprice and total volume; `lixi_many` and `lixi_decomposed_many` read it
+for a whole file, and `lixi_tau`, `lixi`, `relative_spread` and
+`lixi_decomposed` are its views on one `OrderBookSnapshot`.
 """
 
 from __future__ import annotations
@@ -12,8 +18,10 @@ from dataclasses import dataclass
 
 import math
 
+import numpy as np
+
 from . import errors
-from .measures import LiquidityIndex, LixKind, ScalingParams
+from .measures import LiquidityIndex, LixKind, ScalingParams, _log10
 
 
 @dataclass(frozen=True)
@@ -89,10 +97,64 @@ class AdvContext:
                 f"session_length must be positive, got {self.session_length}")
 
 
-def _side_terms(levels):
-    # (VWAP, total volume) of one side, in one pass over its levels.
-    total = sum(lv.volume for lv in levels)
-    return sum(lv.price * lv.volume for lv in levels) / total, total
+@dataclass(frozen=True, eq=False)
+class Books:
+    """Order-book snapshots as arrays, in ascending timestamp order.
+
+    `timestamps` has shape (n_books,). `price` and `volume` have shape
+    (n_books, 2, depth >= 1): side 0 holds the bids and side 1 the asks,
+    so `price[:, 0]` is the bid side's (n_books, depth) array, level 1 in
+    column 0. A side with fewer than `depth` levels is padded with zero
+    price and zero volume, so its levels are the leading columns with
+    positive volume. The arrays are not checked here: build Books with
+    `data_io.read_books`, which checks every level and book as BookLevel
+    and OrderBookSnapshot do, or with `Books.of` from snapshot records.
+    Indexing gives an OrderBookSnapshot record.
+    """
+
+    timestamps: np.ndarray
+    price: np.ndarray
+    volume: np.ndarray
+
+    @classmethod
+    def of(cls, snapshots) -> "Books":
+        """Arrays of snapshot records, kept in their order."""
+        snapshots = tuple(snapshots)
+        depth = max([1] + [max(len(s.bids), len(s.asks)) for s in snapshots])
+        cells = []
+        for s in snapshots:
+            for ladder in (s.bids, s.asks):
+                for lv in ladder:
+                    cells += (lv.price, lv.volume)
+                cells += (0.0, 0.0) * (depth - len(ladder))
+        cells = np.array(cells, dtype=float).reshape(len(snapshots), 2, depth, 2)
+        return cls(np.array([s.timestamp for s in snapshots], dtype=float),
+                   cells[..., 0], cells[..., 1])
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __getitem__(self, i: int) -> OrderBookSnapshot:
+        bids, asks = (tuple(BookLevel(p, v) for p, v in zip(prices, volumes) if v > 0)
+                      for prices, volumes in zip(self.price[i].tolist(),
+                                                 self.volume[i].tolist()))
+        return OrderBookSnapshot(float(self.timestamps[i]), bids, asks)
+
+
+def _side_terms(prices, volumes):
+    # (VWAP, total volume) of each side of each book, shape (n_books, 2).
+    # Each sum runs level by level from level 1, as a sequential sum over
+    # the side's levels would; the padding adds exact zeros.
+    weighted = prices * volumes
+    value, total = weighted[..., 0].copy(), volumes[..., 0].copy()
+    for k in range(1, volumes.shape[2]):
+        value += weighted[..., k]
+        total += volumes[..., k]
+    with np.errstate(all="ignore"):  # an empty side is reported by _book_terms
+        return value / total, total
 
 
 def side_vwap(levels) -> float:
@@ -100,27 +162,68 @@ def side_vwap(levels) -> float:
     levels = tuple(levels)
     if not levels:
         raise errors.EmptySide("no levels on this side of the book")
-    return _side_terms(levels)[0]
+    vwap, _ = _side_terms(np.array([[[lv.price for lv in levels]]]),
+                          np.array([[[lv.volume for lv in levels]]]))
+    return vwap.item()
 
 
-def _book_terms(book: OrderBookSnapshot):
-    """(VWAP gap, touch midprice, total displayed volume) of a book."""
-    if not book.bids:
-        raise errors.EmptySide("bid side is empty")
-    if not book.asks:
-        raise errors.EmptySide("ask side is empty")
-    vwap_bid, bid_volume = _side_terms(book.bids)
-    vwap_ask, ask_volume = _side_terms(book.asks)
-    if vwap_ask <= vwap_bid:
-        raise errors.CrossedBook(
-            f"ask-side VWAP {vwap_ask} <= bid-side VWAP {vwap_bid} (t={book.timestamp})")
-    return vwap_ask - vwap_bid, book.mid_price, bid_volume + ask_volume
+def _book_terms(books: Books):
+    """(VWAP gap, touch midprice, total displayed volume) of every book, as
+    float64 arrays, and {index: LixError} for the books they are undefined on."""
+    vwap, side_volume = _side_terms(books.price, books.volume)
+    vwap_bid, vwap_ask = vwap.T
+    bid_volume, ask_volume = side_volume.T
+    with np.errstate(all="ignore"):
+        gap = vwap_ask - vwap_bid
+        mid = (books.price[:, 1, 0] + books.price[:, 0, 0]) / 2
+        undefined = (bid_volume == 0) | (ask_volume == 0) | (vwap_ask <= vwap_bid)
+    faults = {}
+    for i in undefined.nonzero()[0].tolist():
+        if bid_volume[i] == 0:
+            faults[i] = errors.EmptySide("bid side is empty")
+        elif ask_volume[i] == 0:
+            faults[i] = errors.EmptySide("ask side is empty")
+        else:
+            faults[i] = errors.CrossedBook(
+                f"ask-side VWAP {vwap_ask[i].item()} <= bid-side VWAP "
+                f"{vwap_bid[i].item()} (t={books.timestamps[i].item()})")
+    return gap, mid, bid_volume + ask_volume, faults
+
+
+def _raise_or_value(result):
+    if isinstance(result, errors.LixError):
+        raise result
+    return result
+
+
+def _one_book_terms(book: OrderBookSnapshot):
+    gap, mid, volume, faults = _book_terms(Books.of([book]))
+    _raise_or_value(faults.get(0))
+    return gap.item(), mid.item(), volume.item()
+
+
+def lixi_many(books: Books, ctx: AdvContext,
+              params: ScalingParams = ScalingParams()) -> list:
+    """LIXI of every book, in order: the value of lixi(book, ctx, params), or
+    the LixError it raises for that book."""
+    gap, mid, volume, faults = _book_terms(books)
+    with np.errstate(all="ignore"):
+        depth_ratio = volume * mid / gap
+        adv_ratio = ctx.adv / volume
+    scale = 1 - params.alpha
+    out = []
+    for i, (x, y) in enumerate(zip(depth_ratio.tolist(), adv_ratio.tolist())):
+        try:
+            out.append(faults[i] if i in faults else _log10(x) + scale * _log10(y))
+        except errors.LixError as exc:
+            out.append(exc)
+    return out
 
 
 def lixi_tau(book: OrderBookSnapshot) -> LiquidityIndex:
     """Instantaneous liquidity of one snapshot, on its own (tau) time scale."""
-    gap, mid, total_volume = _book_terms(book)
-    return LiquidityIndex(math.log10(total_volume * mid / gap), LixKind.INSTANTANEOUS)
+    gap, mid, total_volume = _one_book_terms(book)
+    return LiquidityIndex(_log10(total_volume * mid / gap), LixKind.INSTANTANEOUS)
 
 
 def lixi(book: OrderBookSnapshot, ctx: AdvContext,
@@ -132,15 +235,13 @@ def lixi(book: OrderBookSnapshot, ctx: AdvContext,
     (1 - alpha) * log10(ADV / (V_bid + V_ask)). The correction goes negative
     when displayed volume exceeds ADV; no clamping.
     """
-    gap, mid, total_volume = _book_terms(book)
-    value = (math.log10(total_volume * mid / gap)
-             + (1 - params.alpha) * math.log10(ctx.adv / total_volume))
+    value = _raise_or_value(lixi_many(Books.of([book]), ctx, params)[0])
     return LiquidityIndex(value, LixKind.INSTANTANEOUS)
 
 
 def relative_spread(book: OrderBookSnapshot) -> float:
     """VWAP spread divided by touch midprice; dimensionless and positive."""
-    gap, mid, _ = _book_terms(book)
+    gap, mid, _ = _one_book_terms(book)
     return gap / mid
 
 
@@ -154,15 +255,30 @@ class LixiDecomposition:
     total: float
 
 
+def lixi_decomposed_many(books: Books, ctx: AdvContext) -> list:
+    """LixiDecomposition of every book, in order, or the LixError
+    lixi_decomposed raises for that book."""
+    gap, mid, volume, faults = _book_terms(books)
+    with np.errstate(all="ignore"):
+        spread = gap / mid
+    adv_term = 0.5 * _log10(ctx.adv)
+    out = []
+    for i, (s, v) in enumerate(zip(spread.tolist(), volume.tolist())):
+        try:
+            _raise_or_value(faults.get(i))
+            spread_term = -_log10(s)
+            depth_term = 0.5 * _log10(v)
+            out.append(LixiDecomposition(spread_term, depth_term, adv_term,
+                                         spread_term + depth_term + adv_term))
+        except errors.LixError as exc:
+            out.append(exc)
+    return out
+
+
 def lixi_decomposed(book: OrderBookSnapshot, ctx: AdvContext) -> LixiDecomposition:
     """LIXI as -log10(s) + log10(V_bid + V_ask)/2 + log10(ADV)/2.
 
     Fixed at alpha = 1/2; the total is algebraically identical to
     lixi(book, ctx, ScalingParams(0.5)).
     """
-    gap, mid, total_volume = _book_terms(book)
-    spread_term = -math.log10(gap / mid)
-    depth_term = 0.5 * math.log10(total_volume)
-    adv_term = 0.5 * math.log10(ctx.adv)
-    return LixiDecomposition(spread_term, depth_term, adv_term,
-                             spread_term + depth_term + adv_term)
+    return _raise_or_value(lixi_decomposed_many(Books.of([book]), ctx)[0])

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import errors
 from .measures import DailyBar, IntradayWindow, ScalingParams, lix_daily
-from .orderbook import AdvContext, BookLevel, OrderBookSnapshot, lixi
+from .orderbook import AdvContext, BookLevel, Books, OrderBookSnapshot, lixi_many
 
 _CHUNK_PATHS = 4096  # fixed so chunking never changes results
 _BLOCK_BYTES = 2 ** 20  # a block of walked paths fits in a 2 MiB L2 cache
@@ -143,7 +143,7 @@ def estimate_alpha(model: PathModel, n_paths: int, time_grid) -> AlphaEstimate:
     log10(mean range) on log10(k / steps). Fractions that round to the same
     step are rejected. The requested fractions are echoed in `time_grid`.
     A mean range that is not finite (the prices overflow) raises
-    InvalidParams.
+    InvalidParams, with no numpy warning.
 
     Deterministic given (model.seed, n_paths, grid): paths are generated in
     fixed-size chunks with per-chunk seed streams.
@@ -176,23 +176,25 @@ def estimate_alpha(model: PathModel, n_paths: int, time_grid) -> AlphaEstimate:
     sums = np.zeros(len(grid))
     done = 0
     chunk_index = 0
-    while done < n_paths:
-        m = min(_CHUNK_PATHS, n_paths - done)
-        seq = np.random.SeedSequence([model.seed, chunk_index])
-        rng = np.random.default_rng(seq)
-        ranges = np.empty((m, len(cols)))
-        for r in range(0, m, block_paths):
-            walk = _walk(model, rng, start_price,
-                         buf[:min(block_paths, m - r)])[:, :cols[-1]]
-            hi = np.maximum.accumulate(
-                np.maximum.reduceat(walk, blocks, axis=1), axis=1)
-            lo = np.minimum.accumulate(
-                np.minimum.reduceat(walk, blocks, axis=1), axis=1)
-            ranges[r:r + len(walk)] = (np.maximum(hi, start_price)
-                                       - np.minimum(lo, start_price))
-        sums += ranges[:, inv].sum(axis=0)
-        done += m
-        chunk_index += 1
+    # Prices that overflow are reported by the finite check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while done < n_paths:
+            m = min(_CHUNK_PATHS, n_paths - done)
+            seq = np.random.SeedSequence([model.seed, chunk_index])
+            rng = np.random.default_rng(seq)
+            ranges = np.empty((m, len(cols)))
+            for r in range(0, m, block_paths):
+                walk = _walk(model, rng, start_price,
+                             buf[:min(block_paths, m - r)])[:, :cols[-1]]
+                hi = np.maximum.accumulate(
+                    np.maximum.reduceat(walk, blocks, axis=1), axis=1)
+                lo = np.minimum.accumulate(
+                    np.minimum.reduceat(walk, blocks, axis=1), axis=1)
+                ranges[r:r + len(walk)] = (np.maximum(hi, start_price)
+                                           - np.minimum(lo, start_price))
+            sums += ranges[:, inv].sum(axis=0)
+            done += m
+            chunk_index += 1
 
     mean_range = sums / n_paths
     if not np.all(np.isfinite(mean_range)):
@@ -455,12 +457,8 @@ def lixi_vs_lix_study(universe, days: int, seed: int,
             continue
         ctx = AdvContext(adv=sum(volumes) / len(volumes),
                          window_days=min(20, len(volumes)))
-        lixi_values = []
-        for snap in last_day:
-            try:
-                lixi_values.append(lixi(snap, ctx, params).value)
-            except errors.LixError:
-                continue
+        lixi_values = [v for v in lixi_many(Books.of(last_day), ctx, params)
+                       if not isinstance(v, errors.LixError)]
         if not lixi_values:
             dropped += 1
             continue

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import warnings
 
 import pytest
 
@@ -74,6 +75,13 @@ class TestLixCommand:
                             "--date", "1999-01-01"])
         assert code == 2
 
+    def test_underflowing_day_warned_and_skipped(self, tmp_path):
+        bars = BARS + "2013-11-21,1,1e10,0.5,1,5e-324\n"
+        code, out, err = run(["lix", write(tmp_path, "b.csv", bars)])
+        assert (code, out) == (0, "2013-11-20  8.698970\n")
+        assert err == ("warning: 2013-11-21: liquidity index must be finite, got -inf\n"
+                       "warning: skipped 1 day(s) with undefined index\n")
+
     def test_degenerate_day_warned_and_skipped(self, tmp_path):
         bars = BARS + "2013-11-21,50,50,50,50,1000\n"
         code, out, err = run(["lix", write(tmp_path, "b.csv", bars)])
@@ -94,6 +102,19 @@ class TestIntradayCommand:
         assert payload["lix"] == pytest.approx(8.69897, abs=1e-5)
 
 
+class TestIntradayOutOfRange:
+    ARGV = ["lix-intraday", "--elapsed", "10", "--session", "100"]
+
+    @pytest.mark.parametrize("flags,shown", [
+        (["--cum-volume", "5e-324", "--last-price", "1", "--high", "1e10",
+          "--low", "0.5"], "-inf"),
+        (["--cum-volume", "1e308", "--last-price", "10", "--high", "10",
+          "--low", "9.999999"], "inf")])
+    def test_ratio_out_of_float_range_rejected(self, flags, shown):
+        assert run(self.ARGV + flags) == (
+            2, "", f"error: liquidity index must be finite, got {shown}\n")
+
+
 class TestLixiCommand:
     def test_reference(self, tmp_path):
         code, out, _ = run(["lixi", write(tmp_path, "book.csv", BOOK),
@@ -110,6 +131,41 @@ class TestLixiCommand:
         assert payload["spread_term"] == pytest.approx(1.69897, abs=1e-5)
         assert payload["depth_term"] == pytest.approx(1.650515, abs=1e-6)
         assert payload["adv_term"] == pytest.approx(1.80103, abs=1e-5)
+
+
+    def test_empty_adv_file_named(self, tmp_path):
+        path = write(tmp_path, "adv.csv", "date,open,high,low,close,volume\n")
+        code, out, err = run(["lixi", write(tmp_path, "book.csv", BOOK),
+                              "--adv-from", path])
+        assert (code, out, err) == (2, "", f"error: {path}: no data rows\n")
+
+    def test_underflowing_adv_term_rejected(self, tmp_path):
+        # ADV / displayed volume = 1e-30 / 2e300 underflows to 0.0
+        book = "timestamp,side,level,price,volume\n0,B,1,99,1e300\n0,A,1,101,1e300\n"
+        adv = "date,open,high,low,close,volume\n2013-11-19,50,51,50,50,1e-30\n"
+        code, out, err = run(["lixi", write(tmp_path, "book.csv", book),
+                              "--adv-from", write(tmp_path, "adv.csv", adv)])
+        assert (code, out, err) == (
+            2, "", "error: liquidity index must be finite, got -inf\n")
+
+    def test_books_of_unequal_depth(self, tmp_path):
+        book = ("timestamp,side,level,price,volume\n"
+                "0,B,1,99,1000\n0,A,1,101,1000\n0,A,2,102,500\n0,A,3,103,500\n"
+                "1,B,2,98,10\n1,B,1,99,10\n1,A,1,100,10\n")
+        code, out, _ = run(["lixi", write(tmp_path, "book.csv", book),
+                            "--adv-from", write(tmp_path, "adv.csv", ADV_BARS),
+                            "--decompose", "--format", "json", "--precision", "17"])
+        from lix import AdvContext, lixi, lixi_decomposed, parse_book_snapshots
+        ctx = AdvContext(4000)
+        want = []
+        for snap in parse_book_snapshots(tmp_path / "book.csv"):
+            d = lixi_decomposed(snap, ctx)
+            want.append({"timestamp": snap.timestamp, "lixi": lixi(snap, ctx).value,
+                         "spread_term": d.spread_term, "depth_term": d.depth_term,
+                         "adv_term": d.adv_term})
+        assert code == 0
+        assert json.loads(out) == [{k: round(v, 17) for k, v in row.items()}
+                                   for row in want]
 
 
 class TestCostCommand:
@@ -222,6 +278,15 @@ class TestCalibrateCommand:
                               "--paths", "10", "--steps", "10"])
         assert (code, out) == (2, "")
         assert "not finite" in err and "nan" not in err.lower()
+
+    def test_overflowing_walk_reports_only_the_error(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run(["calibrate-alpha", "--model", "rw", "--vol", "1e308",
+                          "--paths", "10", "--steps", "10"])
+        assert result == (2, "", "error: mean price range is not finite at "
+                          "volatility_per_step 1e+308; the simulated prices overflow\n")
+        assert caught == []
 
     def test_grid_colliding_at_steps_rejected(self):
         code, out, err = run(["calibrate-alpha", "--paths", "10", "--steps", "10",

@@ -1,5 +1,6 @@
 import datetime
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -95,6 +96,23 @@ class TestAmihud:
                            shares_outstanding=1e8)
         with pytest.raises(errors.ZeroDollarVolume):
             amihud_illiq(w)
+
+    def test_zero_first_close_rejected(self):
+        # the first return would divide by the zero close
+        w = MultiDayWindow(bars_from([0, 101, 102]), shares_outstanding=1e8)
+        with pytest.raises(errors.NonPositivePrice, match="2020-01-01"):
+            amihud_illiq(w)
+
+    def test_equals_day_by_day_loop(self):
+        rng = np.random.default_rng(3)
+        for n in (2, 3, 50, 1000):
+            closes = list(rng.lognormal(4, 1, n))
+            bars = bars_from(closes, volumes=list(rng.lognormal(10, 3, n)))
+            total = 0.0
+            for prev, cur in zip(bars, bars[1:]):
+                total += abs(cur.close / prev.close - 1.0) / (cur.close * cur.volume)
+            w = MultiDayWindow(bars, shares_outstanding=1e8)
+            assert amihud_illiq(w) == total / (n - 1)
 
     def test_nonnegative_and_inverse_ranking_vs_lix(self):
         # same volatility, varying volume: descending LIX ranking must equal

@@ -1,11 +1,12 @@
 import datetime
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lix import (DailyBar, IntradayWindow, LixKind, ScalingParams, errors,
-                 lix_daily, lix_intraday_raw, time_scale_to_daily)
+from lix import (Bars, DailyBar, IntradayWindow, LixKind, ScalingParams, errors,
+                 lix_daily, lix_daily_many, lix_intraday_raw, time_scale_to_daily)
 from conftest import make_bar
 
 prices = st.floats(min_value=0.01, max_value=1e6, allow_nan=False)
@@ -63,6 +64,53 @@ class TestLixDaily:
         assert narrow > wide
 
 
+    def test_underflowing_ratio_rejected(self):
+        # 5e-324 * 1 / (1e10 - 0.5) is 0.0: no finite index, a typed error
+        bar = make_bar(open=1, high=1e10, low=0.5, close=1, volume=5e-324)
+        with pytest.raises(errors.InvalidParams, match="got -inf"):
+            lix_daily(bar)
+
+    def test_overflowing_ratio_rejected(self):
+        bar = make_bar(open=1e300, high=1e300, low=1e300 - 1e284, close=1e300,
+                       volume=1e300)
+        with pytest.raises(errors.InvalidParams, match="got inf"):
+            lix_daily(bar)
+
+
+class TestLixDailyMany:
+    def test_equals_lix_daily_bar_by_bar(self):
+        rng = np.random.default_rng(5)
+        days = [datetime.date(2020, 1, 1) + datetime.timedelta(days=i)
+                for i in range(400)]
+        low = rng.lognormal(3, 2, 400)
+        high = np.where(rng.random(400) < 0.1, low, low * rng.uniform(1, 1.1, 400))
+        volume = np.where(rng.random(400) < 0.1, 0.0, rng.lognormal(10, 4, 400))
+        close = np.where(rng.random(400) < 0.05, 0.0, high)
+        low = np.where(close == 0, 0.0, low)
+        bars = [DailyBar("T", d, float(h), float(h), float(lo), float(c), float(v))
+                for d, h, lo, c, v in zip(days, high, low, close, volume)]
+        bars[:2] = [DailyBar("T", days[i], 1.0, 1e10, 0.5, 1.0, 5e-324) for i in range(2)]
+        got = lix_daily_many(Bars.of(bars))
+        assert len(got) == len(bars)
+        kinds = set()
+        for bar, value in zip(bars, got):
+            try:
+                want = lix_daily(bar).value
+            except errors.LixError as exc:
+                assert (type(value), str(value)) == (type(exc), str(exc))
+                kinds.add(type(exc))
+            else:
+                assert value == want
+        assert kinds == {errors.ZeroRange, errors.ZeroVolume,
+                         errors.NonPositivePrice, errors.InvalidParams}
+
+    def test_bars_index_and_slice(self):
+        bars = [make_bar(volume=v, day=datetime.date(2020, 1, 1 + v)) for v in range(4)]
+        columns = Bars.of(bars)
+        assert (len(columns), columns[2], list(columns)) == (4, bars[2], bars)
+        assert list(columns[1:3]) == bars[1:3]
+
+
 class TestIntraday:
     def test_reference_value(self):
         w = IntradayWindow(elapsed=3600, session_length=14400,
@@ -79,6 +127,12 @@ class TestIntraday:
         w = IntradayWindow(elapsed=1, session_length=2, cum_volume=0,
                            high_t=2, low_t=1, last_price=1)
         with pytest.raises(errors.ZeroVolume):
+            lix_intraday_raw(w)
+
+    def test_underflowing_ratio_rejected(self):
+        w = IntradayWindow(elapsed=10, session_length=100, cum_volume=5e-324,
+                           high_t=1e10, low_t=0.5, last_price=1)
+        with pytest.raises(errors.InvalidParams, match="got -inf"):
             lix_intraday_raw(w)
 
     def test_invalid_window_shape(self):

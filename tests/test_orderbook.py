@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lix import (AdvContext, BookLevel, ScalingParams, errors, lixi,
-                 lixi_decomposed, lixi_tau, relative_spread, side_vwap)
+from lix import (AdvContext, BookLevel, Books, ScalingParams, errors, lixi,
+                 lixi_decomposed, lixi_decomposed_many, lixi_many, lixi_tau,
+                 relative_spread, side_vwap)
 from conftest import make_book
 
 
@@ -142,3 +144,77 @@ class TestDecomposition:
         d = lixi_decomposed(book, ctx)
         assert d.total == pytest.approx(lixi(book, ctx, ScalingParams(0.5)).value,
                                         abs=1e-12)
+
+
+def _reference_terms(book):
+    # The per-level formulas LIXI was first written with: one pass per side,
+    # summing level by level.
+    def side(levels):
+        total = weighted = 0.0
+        for lv in levels:
+            total += lv.volume
+            weighted += lv.price * lv.volume
+        return weighted / total, total
+    vwap_bid, bid_volume = side(book.bids)
+    vwap_ask, ask_volume = side(book.asks)
+    return vwap_ask - vwap_bid, book.mid_price, bid_volume + ask_volume
+
+
+def _random_books(rng, n):
+    books = []
+    for t in range(n):
+        mid = float(rng.lognormal(3, 2))
+        half = mid * float(rng.uniform(1e-5, 0.3))
+        tick = half / 20
+        depth = rng.integers(1, 13, 2)
+        books.append(make_book(
+            [(mid - half - i * tick, float(rng.lognormal(5, 3))) for i in range(depth[0])],
+            [(mid + half + i * tick, float(rng.lognormal(5, 3))) for i in range(depth[1])],
+            timestamp=float(t)))
+    return books
+
+
+class TestBooksKernel:
+    def test_values_equal_per_level_formulas(self):
+        rng = np.random.default_rng(8)
+        snaps = _random_books(rng, 300)
+        ctx = AdvContext(float(rng.lognormal(10, 2)))
+        books = Books.of(snaps)
+        values = lixi_many(books, ctx, ScalingParams(0.6))
+        parts = lixi_decomposed_many(books, ctx)
+        for snap, value, d in zip(snaps, values, parts):
+            gap, mid, volume = _reference_terms(snap)
+            assert value == (math.log10(volume * mid / gap)
+                             + (1 - 0.6) * math.log10(ctx.adv / volume))
+            assert value == lixi(snap, ctx, ScalingParams(0.6)).value
+            assert lixi_tau(snap).value == math.log10(volume * mid / gap)
+            assert relative_spread(snap) == gap / mid
+            assert d == lixi_decomposed(snap, ctx)
+            assert d.spread_term == -math.log10(gap / mid)
+            assert d.depth_term == 0.5 * math.log10(volume)
+
+    def test_books_pad_unequal_sides_and_give_records_back(self):
+        snaps = [make_book([(99, 1)], [(101, 2), (102, 3)], timestamp=1.0),
+                 make_book([(98, 4), (97, 5), (96, 6)], [], timestamp=2.0)]
+        books = Books.of(snaps)
+        assert books.volume[:, 0].tolist() == [[1, 0, 0], [4, 5, 6]]
+        assert books.price[:, 1].tolist() == [[101, 102, 0], [0, 0, 0]]
+        assert [books[0], books[1]] == snaps
+
+    def test_undefined_books_give_their_error_in_place(self):
+        # In the fourth book price x volume underflows to 0 on both sides.
+        snaps = [make_book([(99, 1)], [(101, 1)]), make_book([(99, 1)], []),
+                 make_book([], [(101, 1)]),
+                 make_book([(0.0005, 5e-324)], [(0.0015, 5e-324)], timestamp=3.0),
+                 make_book([(100, 1000)], [(100.5, 1)])]
+        got = lixi_many(Books.of(snaps), AdvContext(10))
+        assert [(type(v).__name__, str(v)) for v in got[1:4]] == [
+            ("EmptySide", "ask side is empty"), ("EmptySide", "bid side is empty"),
+            ("CrossedBook", "ask-side VWAP 0.0 <= bid-side VWAP 0.0 (t=3.0)")]
+        assert got[0] == lixi(snaps[0], AdvContext(10)).value
+        assert got[4] == lixi(snaps[4], AdvContext(10)).value
+
+    def test_underflowing_adv_term_rejected(self):
+        book = make_book([(99, 1e300)], [(101, 1e300)])
+        with pytest.raises(errors.InvalidParams, match="got -inf"):
+            lixi(book, AdvContext(1e-30))

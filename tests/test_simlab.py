@@ -1,6 +1,7 @@
 import dataclasses
 import datetime
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -189,6 +190,16 @@ class TestEstimateAlpha:
                           volatility_per_step=100.0, seed=0)
         with pytest.raises(errors.InvalidParams, match="volatility_per_step 100"):
             estimate_alpha(model, 10, GRID)
+
+    @pytest.mark.parametrize("kind,vol", [(WalkKind.ARITHMETIC_RANDOM_WALK, 1e308),
+                                          (WalkKind.GAUSSIAN_RETURNS, 100.0)])
+    def test_overflow_raises_without_numpy_warnings(self, kind, vol):
+        model = PathModel(kind=kind, steps_per_day=10, volatility_per_step=vol, seed=0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(errors.InvalidParams, match="not finite"):
+                estimate_alpha(model, 10, GRID)
+        assert caught == []
 
     def test_memory_is_one_block_not_one_chunk(self):
         # one chunk of 4096 paths x 1000 steps would be a 32.8 MB buffer
