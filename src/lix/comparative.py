@@ -65,7 +65,8 @@ def hui_heubel(w: MultiDayWindow) -> float:
     p_low = min(recent.low.tolist())
     if p_high == p_low:
         raise errors.ZeroRange("no price range over the five-day window")
-    dollar_volume = sum((recent.close * recent.volume).tolist())
+    with np.errstate(over="ignore"):  # an overflowing total is inf, as with floats
+        dollar_volume = sum((recent.close * recent.volume).tolist())
     if dollar_volume <= 0:
         raise errors.ZeroDollarVolume("zero dollar volume over the five-day window")
     mean_close = sum(recent.close.tolist()) / len(recent)
@@ -81,13 +82,15 @@ def amihud_illiq(w: MultiDayWindow) -> float:
     bars = w.bars
     if len(bars) < 2:
         raise errors.InsufficientData("need at least 2 bars for a return")
-    dollar_volume = bars.close[1:] * bars.volume[1:]
+    with np.errstate(over="ignore"):  # an overflowing product is inf, as with floats
+        dollar_volume = bars.close[1:] * bars.volume[1:]
     unpriced = (dollar_volume <= 0).nonzero()[0].tolist()
     if bars.close[0] == 0 and unpriced[:1] != [0]:
         raise errors.NonPositivePrice(
             f"close is zero on {bars.dates[0]}, so the next day's return is undefined")
     if unpriced:
         raise errors.ZeroDollarVolume(f"zero dollar volume on {bars.dates[unpriced[0] + 1]}")
-    terms = np.abs(bars.close[1:] / bars.close[:-1] - 1.0) / dollar_volume
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN, as with floats
+        terms = np.abs(bars.close[1:] / bars.close[:-1] - 1.0) / dollar_volume
     # Summed in day order, as a running total.
     return np.add.accumulate(terms)[-1].item() / len(terms)

@@ -7,9 +7,9 @@ in file order is reported.
 
 Bar and snapshot files are read column-wise: `read_bars` and `read_books`
 convert each column at once with Python's own `float`, `int` and
-`date.fromisoformat`, check the rows with numpy, and return `Bars` and
-`Books` arrays. Only a faulty row is looked at again on its own, to name
-its first fault. `parse_daily_bars` and `parse_book_snapshots` return the
+`date.fromisoformat`, check the rows with the records' vectorised
+`rejects` masks, and return `Bars` and `Books` arrays. Only a faulty row
+is looked at again on its own, to name its first fault. `parse_daily_bars` and `parse_book_snapshots` return the
 same data as DailyBar and OrderBookSnapshot records.
 """
 
@@ -99,18 +99,6 @@ def _read_rows(path, expected_header):
             raise errors.ParseError(
                 f"{path}: bad header {header!r}, expected {','.join(expected_header)}",
                 line=1)
-        if '"' not in text:
-            # Without quotes each physical line is one row, so when no row
-            # is blank or of the wrong width, data row i is on line i + 2.
-            try:
-                rows = list(reader)
-            except csv.Error:
-                rows = None
-            if rows is not None and set(map(len, rows)) <= {width}:
-                return range(2, len(rows) + 2), rows, None
-            reader = csv.reader(io.StringIO(text, newline=""))
-            next(reader)
-            rows = []
         for row in reader:
             if len(row) != width:
                 if not row or row == [""]:
@@ -184,10 +172,9 @@ def read_bars(path, instrument_id: str | None = None) -> Bars:
         stop = min(stop, bad)
     block, stop = _finite_rows(numbers, stop)
     o, h, l, c, v = block
-    # DailyBar's invariants (the values are finite); it names the fault.
-    valid = (l <= o) & (o <= h) & (l <= c) & (c <= h) & (v >= 0)
-    if not valid.all():
-        i = int(valid.argmin())
+    broken = DailyBar.rejects(o, h, l, c, v)
+    if broken.any():  # the first broken bar's constructor names the fault
+        i = int(broken.argmax())
         try:
             DailyBar(instrument, days[i], o[i].item(), h[i].item(), l[i].item(),
                      c[i].item(), v[i].item())
@@ -254,9 +241,8 @@ def read_books(path) -> Books:
     (ts, price, volume), stop = _finite_rows([ts, price, volume], stop)
     stamps = ts.tolist()
     repeat = _first_repeat(list(zip(stamps, sides, levels[:stop])))
-    # BookLevel's invariants (the values are finite); it names the fault.
-    broken = (price <= 0) | (volume <= 0)
-    if broken.any() and broken.argmax() < repeat:
+    broken = BookLevel.rejects(price, volume)
+    if broken.any() and broken.argmax() < repeat:  # its constructor names the fault
         i = int(broken.argmax())
         try:
             BookLevel(price[i].item(), volume[i].item())
@@ -314,12 +300,9 @@ def _assemble_books(ts, stamps, sides, levels, price, volume) -> Books:
         arrays.append(flat.reshape(n_books, 2, depth))
     books = Books(ts[heads[order]], *arrays)
 
-    # OrderBookSnapshot's invariants over the books before the first gap;
-    # it names the fault. Negated, bid prices must ascend like ask prices.
-    p, v = arrays
-    ladder = p * np.array([[-1.0], [1.0]])
-    broken = (((v[:, :, 1:] > 0) & (ladder[:, :, 1:] <= ladder[:, :, :-1])).any(axis=(1, 2))
-              | ((v[:, :, 0] > 0).all(axis=1) & (p[:, 1, 0] <= p[:, 0, 0])))
+    # Books before the first gap are whole; the first broken one's
+    # constructor names the fault.
+    broken = OrderBookSnapshot.rejects(*arrays)
     if broken.any() and broken.argmax() < gap_key // 2:
         i = int(broken.argmax())
         try:
@@ -372,8 +355,7 @@ def compute_adv(bars, window_days: int = 20,
     if window_days < 1:
         raise errors.InvalidParams(f"window_days must be >= 1, got {window_days}")
     window = bars[-window_days:]
-    volumes = window.volume.tolist() if isinstance(window, Bars) else [b.volume for b in window]
-    nonzero = [v for v in volumes if v > 0]
+    nonzero = [b.volume for b in window if b.volume > 0]
     if not nonzero:
         raise errors.AllZeroVolume(
             f"all {len(window)} bars in the ADV window have zero volume")

@@ -94,6 +94,14 @@ class DailyBar:
         if self.volume < 0:
             raise errors.InvariantViolation(f"volume must be non-negative, got {self.volume}")
 
+    @staticmethod
+    def rejects(open, high, low, close, volume):
+        """Where the checks above fail, over float64 columns of bars: the
+        mask of the rows a DailyBar of those values would refuse."""
+        finite = np.isfinite([open, high, low, close, volume]).all(axis=0)
+        return ~(finite & (low <= open) & (open <= high) & (low <= close)
+                 & (close <= high) & (volume >= 0))
+
 
 @dataclass(frozen=True, eq=False)
 class Bars:

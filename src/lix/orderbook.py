@@ -35,6 +35,12 @@ class BookLevel:
         if not (math.isfinite(self.volume) and self.volume > 0):
             raise errors.InvariantViolation(f"level volume must be positive, got {self.volume}")
 
+    @staticmethod
+    def rejects(price, volume):
+        """Where the checks above fail, over float64 arrays of levels: the
+        mask of the levels a BookLevel of those values would refuse."""
+        return ~(np.isfinite(price) & (price > 0) & np.isfinite(volume) & (volume > 0))
+
 
 @dataclass(frozen=True)
 class OrderBookSnapshot:
@@ -64,6 +70,15 @@ class OrderBookSnapshot:
             raise errors.CrossedBook(
                 f"best ask {self.asks[0].price} <= best bid {self.bids[0].price} "
                 f"(t={self.timestamp})")
+
+    @staticmethod
+    def rejects(price, volume):
+        """Where the checks above fail, over (n_books, 2, depth) arrays laid
+        out as in Books, whose levels BookLevel accepts: the mask of the
+        books whose levels an OrderBookSnapshot would refuse."""
+        ladder = price * np.array([[-1.0], [1.0]])  # negated, bids ascend like asks
+        return (((volume[:, :, 1:] > 0) & (ladder[:, :, 1:] <= ladder[:, :, :-1])).any(axis=(1, 2))
+                | ((volume[:, :, 0] > 0).all(axis=1) & (price[:, 1, 0] <= price[:, 0, 0])))
 
     @property
     def best_bid(self) -> float:
@@ -147,13 +162,14 @@ class Books:
 def _side_terms(prices, volumes):
     # (VWAP, total volume) of each side of each book, shape (n_books, 2).
     # Each sum runs level by level from level 1, as a sequential sum over
-    # the side's levels would; the padding adds exact zeros.
-    weighted = prices * volumes
-    value, total = weighted[..., 0].copy(), volumes[..., 0].copy()
-    for k in range(1, volumes.shape[2]):
-        value += weighted[..., k]
-        total += volumes[..., k]
-    with np.errstate(all="ignore"):  # an empty side is reported by _book_terms
+    # the side's levels would; the padding adds exact zeros. Overflow and
+    # an empty side are left to the callers' checks, as with Python floats.
+    with np.errstate(all="ignore"):
+        weighted = prices * volumes
+        value, total = weighted[..., 0].copy(), volumes[..., 0].copy()
+        for k in range(1, volumes.shape[2]):
+            value += weighted[..., k]
+            total += volumes[..., k]
         return value / total, total
 
 
@@ -176,6 +192,7 @@ def _book_terms(books: Books):
     with np.errstate(all="ignore"):
         gap = vwap_ask - vwap_bid
         mid = (books.price[:, 1, 0] + books.price[:, 0, 0]) / 2
+        volume = bid_volume + ask_volume
         undefined = (bid_volume == 0) | (ask_volume == 0) | (vwap_ask <= vwap_bid)
     faults = {}
     for i in undefined.nonzero()[0].tolist():
@@ -187,7 +204,7 @@ def _book_terms(books: Books):
             faults[i] = errors.CrossedBook(
                 f"ask-side VWAP {vwap_ask[i].item()} <= bid-side VWAP "
                 f"{vwap_bid[i].item()} (t={books.timestamps[i].item()})")
-    return gap, mid, bid_volume + ask_volume, faults
+    return gap, mid, volume, faults
 
 
 def _raise_or_value(result):

@@ -148,6 +148,25 @@ class TestLixiCommand:
         assert (code, out, err) == (
             2, "", "error: liquidity index must be finite, got -inf\n")
 
+    @pytest.mark.parametrize("flags", [[], ["--decompose"]])
+    @pytest.mark.parametrize("rows, shown", [
+        # price x volume and the total volume overflow to inf; both VWAPs
+        # are inf and compare as crossed, as with Python floats
+        ("1,B,1,1e200,1e200\n1,B,2,5e199,1e308\n1,A,1,2e200,1e200\n1,A,2,3e200,1e308\n",
+         "ask-side VWAP inf <= bid-side VWAP inf (t=1.0)"),
+        # each side's volume overflows too, so both VWAPs are inf / inf
+        ("1,B,1,1,1e308\n1,B,2,0.5,1e308\n1,A,1,2,1e308\n1,A,2,3,1e308\n",
+         "liquidity index must be finite, got nan"),
+    ], ids=["inf-vwaps", "nan-vwaps"])
+    def test_overflowing_book_reports_only_the_error(self, tmp_path, rows, shown, flags):
+        book = "timestamp,side,level,price,volume\n" + rows
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run(["lixi", write(tmp_path, "book.csv", book),
+                          "--adv-from", write(tmp_path, "adv.csv", ADV_BARS)] + flags)
+        assert result == (2, "", f"error: {shown}\n")
+        assert caught == []
+
     def test_books_of_unequal_depth(self, tmp_path):
         book = ("timestamp,side,level,price,volume\n"
                 "0,B,1,99,1000\n0,A,1,101,1000\n0,A,2,102,500\n0,A,3,103,500\n"
@@ -250,6 +269,23 @@ class TestCompareCommand:
         values = dict(l.split(",") for l in lines[1:])
         assert float(values["hui_heubel"]) == pytest.approx(0.40404, abs=1e-5)
         assert float(values["amihud_illiq"]) == 0.0
+
+
+    def test_overflowing_bars_report_only_the_values(self, tmp_path):
+        # close x volume, the summed dollar volume and a close-to-close
+        # ratio overflow to inf; inf / inf is NaN, as with Python floats
+        bars = ("date,open,high,low,close,volume\n"
+                "2020-01-01,1e-300,1e300,1e-300,1e-300,1e10\n"
+                "2020-01-02,1e300,1e300,1e-300,1e300,1e300\n"
+                "2020-01-03,1e300,1e300,1e-300,1e300,1\n"
+                "2020-01-06,1e-300,1e300,1e-300,1e-300,1\n"
+                "2020-01-07,1,2,1e-300,1,1e10\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run(["compare", write(tmp_path, "b.csv", bars),
+                          "--shares-outstanding", "1e6"])
+        assert result == (0, "lix  9.698970\nhui_heubel  nan\namihud_illiq  nan\n", "")
+        assert caught == []
 
 
 class TestEmptyBarFile:

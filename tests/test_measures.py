@@ -200,6 +200,22 @@ class TestTypes:
         with pytest.raises(errors.InvariantViolation):
             make_bar(volume=-1)
 
+    def test_rejects_matches_the_constructor(self):
+        # Few distinct values, so ties, inverted ranges, negative volumes
+        # and non-finite fields are all common.
+        rng = np.random.default_rng(11)
+        pool = [-1.0, 0.0, 1.0, 2.0, 3.0, math.inf, -math.inf, math.nan]
+        rows = rng.choice(pool, size=(5, 3000), p=[.17] * 5 + [.05] * 3)
+        mask = DailyBar.rejects(*rows)
+        for refused, values in zip(mask.tolist(), rows.T.tolist()):
+            try:
+                DailyBar("X", datetime.date(2020, 1, 1), *values)
+            except errors.InvariantViolation:
+                assert refused, values
+            else:
+                assert not refused, values
+        assert 0 < mask.sum() < len(mask)
+
     def test_alpha_bounds(self):
         with pytest.raises(errors.InvalidParams):
             ScalingParams(0.0)

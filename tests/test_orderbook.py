@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lix import (AdvContext, BookLevel, Books, ScalingParams, errors, lixi,
-                 lixi_decomposed, lixi_decomposed_many, lixi_many, lixi_tau,
-                 relative_spread, side_vwap)
+from lix import (AdvContext, BookLevel, Books, OrderBookSnapshot, ScalingParams,
+                 errors, lixi, lixi_decomposed, lixi_decomposed_many, lixi_many,
+                 lixi_tau, relative_spread, side_vwap)
 from conftest import make_book
 
 
@@ -213,6 +213,37 @@ class TestBooksKernel:
             ("CrossedBook", "ask-side VWAP 0.0 <= bid-side VWAP 0.0 (t=3.0)")]
         assert got[0] == lixi(snaps[0], AdvContext(10)).value
         assert got[4] == lixi(snaps[4], AdvContext(10)).value
+
+    def test_level_rejects_matches_the_constructor(self):
+        pool = [-1.0, 0.0, 5e-324, 1.0, math.inf, -math.inf, math.nan]
+        pairs = np.array([(p, v) for p in pool for v in pool]).T
+        for refused, (p, v) in zip(BookLevel.rejects(*pairs).tolist(), pairs.T.tolist()):
+            try:
+                BookLevel(p, v)
+            except errors.InvariantViolation:
+                assert refused, (p, v)
+            else:
+                assert not refused, (p, v)
+
+    def test_snapshot_rejects_matches_the_constructor(self):
+        # Sides of 0-3 levels priced from a few ticks, so unordered ladders,
+        # equal levels and crossed touches are all common.
+        rng = np.random.default_rng(12)
+        n, depth = 2000, 3
+        price = rng.choice([1.0, 2.0, 3.0, 4.0], size=(n, 2, depth))
+        volume = rng.choice([0.5, 7.0], size=(n, 2, depth))
+        padded = np.arange(depth) >= rng.integers(0, depth + 1, size=(n, 2, 1))
+        price[padded] = volume[padded] = 0.0
+        books = Books(np.arange(n, dtype=float), price, volume)
+        mask = OrderBookSnapshot.rejects(price, volume)
+        for i, refused in enumerate(mask.tolist()):
+            try:
+                books[i]
+            except errors.LixError:
+                assert refused, books.price[i].tolist()
+            else:
+                assert not refused, books.price[i].tolist()
+        assert 0 < mask.sum() < n
 
     def test_underflowing_adv_term_rejected(self):
         book = make_book([(99, 1e300)], [(101, 1e300)])
