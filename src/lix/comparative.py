@@ -3,7 +3,8 @@
 Hui-Heubel relates the five-day relative price range to turnover of the
 float; Amihud's ILLIQ averages |daily return| per dollar traded. Both use
 the dollar-volume proxy close * volume per day, and both read the window's
-bars as columns.
+bars as columns. A window whose products or ratios overflow has no finite
+value and raises InvalidParams, as a non-finite LIX does.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .measures import Bars
+from .measures import Bars, _finite_index
 
 HUI_HEUBEL_DAYS = 5  # fixed by the cited definition; not configurable
 
@@ -65,12 +66,18 @@ def hui_heubel(w: MultiDayWindow) -> float:
     p_low = min(recent.low.tolist())
     if p_high == p_low:
         raise errors.ZeroRange("no price range over the five-day window")
+    if p_low <= 0:
+        raise errors.NonPositivePrice(f"five-day low is {p_low}, so the relative "
+                                      f"range is undefined")
     with np.errstate(over="ignore"):  # an overflowing total is inf, as with floats
         dollar_volume = sum((recent.close * recent.volume).tolist())
     if dollar_volume <= 0:
         raise errors.ZeroDollarVolume("zero dollar volume over the five-day window")
     mean_close = sum(recent.close.tolist()) / len(recent)
-    return ((p_high - p_low) / p_low) / (dollar_volume / (w.shares_outstanding * mean_close))
+    turnover = dollar_volume / (w.shares_outstanding * mean_close)
+    # A turnover that underflowed to 0 leaves the ratio without a finite value.
+    return _finite_index((p_high - p_low) / p_low / turnover if turnover else math.inf,
+                         "hui_heubel")
 
 
 def amihud_illiq(w: MultiDayWindow) -> float:
@@ -93,4 +100,4 @@ def amihud_illiq(w: MultiDayWindow) -> float:
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN, as with floats
         terms = np.abs(bars.close[1:] / bars.close[:-1] - 1.0) / dollar_volume
     # Summed in day order, as a running total.
-    return np.add.accumulate(terms)[-1].item() / len(terms)
+    return _finite_index(np.add.accumulate(terms)[-1].item() / len(terms), "amihud_illiq")

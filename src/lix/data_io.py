@@ -5,12 +5,15 @@ line numbers; domain-invariant failures (e.g. low > high) are reported
 separately from malformed syntax. When a file has several faults, the first
 in file order is reported.
 
-Bar and snapshot files are read column-wise: `read_bars` and `read_books`
-convert each column at once with Python's own `float`, `int` and
-`date.fromisoformat`, check the rows with the records' vectorised
-`rejects` masks, and return `Bars` and `Books` arrays. Only a faulty row
-is looked at again on its own, to name its first fault. `parse_daily_bars` and `parse_book_snapshots` return the
-same data as DailyBar and OrderBookSnapshot records.
+Bar and snapshot files are read in two steps. `read_bars` and `read_books`
+first check the whole file in bulk: they convert each column at once with
+Python's own `float`, `int` and `date.fromisoformat`, look for repeated
+keys, and check the rows with the records' vectorised `rejects` masks. A
+clean file becomes `Bars` or `Books` arrays. A file that fails any bulk
+check is walked row by row in file order with the scalar field checks,
+the duplicate check and the record constructor, and the first fault found
+is raised. `parse_daily_bars` and `parse_book_snapshots` return the same
+data as DailyBar and OrderBookSnapshot records.
 """
 
 from __future__ import annotations
@@ -113,43 +116,6 @@ def _read_rows(path, expected_header):
     return lines, rows, fault
 
 
-def _convert(texts, convert):
-    """(values, bad): convert(text) of each text up to the first that raises
-    ValueError, and that text's index (len(texts) if none raises)."""
-    try:
-        return list(map(convert, texts)), len(texts)
-    except ValueError:
-        values = []
-        for text in texts:
-            try:
-                values.append(convert(text))
-            except ValueError:
-                break
-        return values, len(values)
-
-
-def _finite_rows(columns, stop):
-    """(block, stop): the converted float columns as a float64 array of
-    shape (len(columns), stop), cut before the first row holding a value
-    that is not finite, and the number of rows kept."""
-    block = np.array([col[:stop] for col in columns], dtype=float)
-    finite = np.isfinite(block).all(axis=0)
-    if not finite.all():
-        stop = int(finite.argmin())
-    return block[:, :stop], stop
-
-
-def _first_repeat(keys) -> int:
-    """Index of the first key equal to an earlier one, or len(keys)."""
-    if len(set(keys)) == len(keys):
-        return len(keys)
-    seen = set()
-    for i, key in enumerate(keys):
-        if key in seen:
-            return i
-        seen.add(key)
-
-
 def _columns(rows, width):
     return list(zip(*rows)) if rows else [()] * width
 
@@ -163,40 +129,34 @@ def read_bars(path, instrument_id: str | None = None) -> Bars:
     instrument = instrument_id or Path(path).stem
     lines, rows, fault = _read_rows(path, BAR_HEADER)
     texts = _columns(rows, len(BAR_HEADER))
-    days, stop = _convert(list(map(str.strip, texts[0])), datetime.date.fromisoformat)
-    stop = _first_repeat(days[:stop])
-    numbers = []
-    for col in texts[1:]:
-        values, bad = _convert(col, float)
-        numbers.append(values)
-        stop = min(stop, bad)
-    block, stop = _finite_rows(numbers, stop)
-    o, h, l, c, v = block
-    broken = DailyBar.rejects(o, h, l, c, v)
-    if broken.any():  # the first broken bar's constructor names the fault
-        i = int(broken.argmax())
-        try:
-            DailyBar(instrument, days[i], o[i].item(), h[i].item(), l[i].item(),
-                     c[i].item(), v[i].item())
-        except errors.InvariantViolation as exc:
-            raise errors.InvariantViolation(str(exc), line=lines[i]) from None
-    if stop < len(rows):
-        _raise_bar_row(rows[stop], lines[stop], days[:stop], lines)
+    try:
+        days = list(map(datetime.date.fromisoformat, map(str.strip, texts[0])))
+        block = np.array([list(map(float, col)) for col in texts[1:]], dtype=float)
+        clean = len(set(days)) == len(days) and not DailyBar.rejects(*block).any()
+    except ValueError:
+        clean = False
+    if not clean:
+        _walk_bars(instrument, lines, rows)
     if fault is not None:
         raise fault
     order = sorted(range(len(days)), key=days.__getitem__)
     return Bars(instrument, tuple(days[i] for i in order), *block[:, order])
 
 
-def _raise_bar_row(row, line, earlier_days, lines):
-    # Raise the first fault of a bar row the column pass found faulty.
-    day = _date(row[0], line)
-    if day in earlier_days:
-        first = lines[earlier_days.index(day)]
-        raise errors.ParseError(f"duplicate date {day}, first seen at line {first}",
-                                line=line, column="date")
-    for k in range(1, len(BAR_HEADER)):
-        _finite_float(row[k], line, BAR_HEADER[k])
+def _walk_bars(instrument, lines, rows):
+    # Check the rows one by one in file order and raise the first fault.
+    seen = {}
+    for line, row in zip(lines, rows):
+        day = _date(row[0], line)
+        if day in seen:
+            raise errors.ParseError(f"duplicate date {day}, first seen at line {seen[day]}",
+                                    line=line, column="date")
+        seen[day] = line
+        values = [_finite_float(row[k], line, BAR_HEADER[k]) for k in range(1, 6)]
+        try:
+            DailyBar(instrument, day, *values)
+        except errors.InvariantViolation as exc:
+            raise errors.InvariantViolation(str(exc), line=line) from None
 
 
 def parse_daily_bars(path, instrument_id: str | None = None) -> list[DailyBar]:
@@ -226,46 +186,42 @@ def read_books(path) -> Books:
     """
     lines, rows, fault = _read_rows(path, BOOK_HEADER)
     texts = _columns(rows, len(BOOK_HEADER))
-    ts, stop = _convert(texts[0], float)
     sides = list(map(str.upper, map(str.strip, texts[1])))
-    if not {"B", "A"}.issuperset(sides):
-        stop = min(stop, next(i for i, x in enumerate(sides) if x not in ("B", "A")))
-    levels, bad = _convert(texts[2], int)
-    stop = min(stop, bad)
-    if levels and min(levels) < 1:
-        stop = min(stop, next(i for i, x in enumerate(levels) if x < 1))
-    price, bad = _convert(texts[3], float)
-    stop = min(stop, bad)
-    volume, bad = _convert(texts[4], float)
-    stop = min(stop, bad)
-    (ts, price, volume), stop = _finite_rows([ts, price, volume], stop)
-    stamps = ts.tolist()
-    repeat = _first_repeat(list(zip(stamps, sides, levels[:stop])))
-    broken = BookLevel.rejects(price, volume)
-    if broken.any() and broken.argmax() < repeat:  # its constructor names the fault
-        i = int(broken.argmax())
-        try:
-            BookLevel(price[i].item(), volume[i].item())
-        except errors.InvariantViolation as exc:
-            raise errors.InvariantViolation(str(exc), line=lines[i]) from None
-    if repeat < stop:
-        raise errors.ParseError(f"duplicate level {levels[repeat]} on side "
-                                f"{sides[repeat]} at t={stamps[repeat]}",
-                                line=lines[repeat])
-    if stop < len(rows):
-        _raise_book_row(rows[stop], lines[stop])
+    try:
+        levels = list(map(int, texts[2]))
+        ts, price, volume = np.array([list(map(float, texts[k])) for k in (0, 3, 4)],
+                                     dtype=float)
+        stamps = ts.tolist()
+        clean = ({"B", "A"}.issuperset(sides) and min(levels, default=1) >= 1
+                 and np.isfinite(ts).all()
+                 and len(set(zip(stamps, sides, levels))) == len(rows)
+                 and not BookLevel.rejects(price, volume).any())
+    except ValueError:
+        clean = False
+    if not clean:
+        _walk_books(lines, rows)
     if fault is not None:
         raise fault
     return _assemble_books(ts, stamps, sides, levels, price, volume)
 
 
-def _raise_book_row(row, line):
-    # Raise the first fault of a snapshot row the column pass found faulty.
-    _finite_float(row[0], line, "timestamp")
-    _side(row[1], line)
-    _level(row[2], line)
-    _finite_float(row[3], line, "price")
-    _finite_float(row[4], line, "volume")
+def _walk_books(lines, rows):
+    # Check the rows one by one in file order and raise the first fault.
+    seen = set()
+    for line, row in zip(lines, rows):
+        ts = _finite_float(row[0], line, "timestamp")
+        side = _side(row[1], line)
+        level = _level(row[2], line)
+        price = _finite_float(row[3], line, "price")
+        volume = _finite_float(row[4], line, "volume")
+        if (ts, side, level) in seen:
+            raise errors.ParseError(f"duplicate level {level} on side {side} at t={ts}",
+                                    line=line)
+        seen.add((ts, side, level))
+        try:
+            BookLevel(price, volume)
+        except errors.InvariantViolation as exc:
+            raise errors.InvariantViolation(str(exc), line=line) from None
 
 
 def _assemble_books(ts, stamps, sides, levels, price, volume) -> Books:

@@ -43,9 +43,9 @@ class LiquidityIndex:
         _finite_index(self.value)
 
 
-def _finite_index(value: float) -> float:
+def _finite_index(value: float, name: str = "liquidity index") -> float:
     if not math.isfinite(value):
-        raise errors.InvalidParams(f"liquidity index must be finite, got {value}")
+        raise errors.InvalidParams(f"{name} must be finite, got {value}")
     return value
 
 
@@ -97,7 +97,12 @@ class DailyBar:
     @staticmethod
     def rejects(open, high, low, close, volume):
         """Where the checks above fail, over float64 columns of bars: the
-        mask of the rows a DailyBar of those values would refuse."""
+        mask of the rows a DailyBar of those values would refuse.
+
+        `data_io.read_bars` uses it in its bulk check of a file. When it
+        flags a row, the reader walks the rows in file order, and the first
+        fault is named by a field check, the duplicate check or this
+        constructor."""
         finite = np.isfinite([open, high, low, close, volume]).all(axis=0)
         return ~(finite & (low <= open) & (open <= high) & (low <= close)
                  & (close <= high) & (volume >= 0))

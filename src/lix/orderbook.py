@@ -38,7 +38,12 @@ class BookLevel:
     @staticmethod
     def rejects(price, volume):
         """Where the checks above fail, over float64 arrays of levels: the
-        mask of the levels a BookLevel of those values would refuse."""
+        mask of the levels a BookLevel of those values would refuse.
+
+        `data_io.read_books` uses it in its bulk check of a file. When it
+        flags a level, the reader walks the rows in file order, and the
+        first fault is named by a field check, the duplicate check or this
+        constructor."""
         return ~(np.isfinite(price) & (price > 0) & np.isfinite(volume) & (volume > 0))
 
 
@@ -75,7 +80,11 @@ class OrderBookSnapshot:
     def rejects(price, volume):
         """Where the checks above fail, over (n_books, 2, depth) arrays laid
         out as in Books, whose levels BookLevel accepts: the mask of the
-        books whose levels an OrderBookSnapshot would refuse."""
+        books whose levels an OrderBookSnapshot would refuse.
+
+        `data_io.read_books` applies it once the rows have passed the bulk
+        check. The first flagged book before any gap in levels is built as
+        a record, whose constructor names the fault."""
         ladder = price * np.array([[-1.0], [1.0]])  # negated, bids ascend like asks
         return (((volume[:, :, 1:] > 0) & (ladder[:, :, 1:] <= ladder[:, :, :-1])).any(axis=(1, 2))
                 | ((volume[:, :, 0] > 0).all(axis=1) & (price[:, 1, 0] <= price[:, 0, 0])))

@@ -48,7 +48,10 @@ class BasketSpec:
         positions = tuple(self.positions)
         if not positions:
             raise errors.EmptyBasket("basket has no positions")
-        total = math.fsum(p.beta for p in positions)
+        try:
+            total = math.fsum(p.beta for p in positions)
+        except OverflowError:
+            raise errors.InvalidParams("weights sum past the float range") from None
         if normalize:
             positions = tuple(BasketPosition(p.instrument_id, p.beta / total, p.lix)
                               for p in positions)

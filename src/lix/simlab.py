@@ -62,9 +62,9 @@ class PathModel:
             raise errors.InvalidParams(
                 f"volatility_per_step must be >= 0, got {self.volatility_per_step}")
         if self.kind is WalkKind.STUDENT_T_RETURNS:
-            if self.dof is None or self.dof <= 2:
+            if self.dof is None or not (math.isfinite(self.dof) and self.dof > 2):
                 raise errors.InvalidParams(
-                    f"Student-t model needs dof > 2, got {self.dof}")
+                    f"Student-t model needs a finite dof > 2, got {self.dof}")
         if self.seed < 0:
             raise errors.InvalidParams(f"seed must be non-negative, got {self.seed}")
 

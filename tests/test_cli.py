@@ -254,6 +254,11 @@ class TestBasketCommand:
         code, _, err = run(["basket", write(tmp_path, "p.csv", text), "--strict"])
         assert code == 2
 
+    def test_overflowing_weight_sum_rejected(self, tmp_path):
+        text = "instrument,beta,lix\nA,1e308,7\nB,1e308,7\n"
+        result = run(["basket", write(tmp_path, "p.csv", text)])
+        assert result == (2, "", "error: weights sum past the float range\n")
+
 
 class TestCompareCommand:
     def test_table(self, tmp_path):
@@ -273,7 +278,7 @@ class TestCompareCommand:
 
     def test_overflowing_bars_report_only_the_values(self, tmp_path):
         # close x volume, the summed dollar volume and a close-to-close
-        # ratio overflow to inf; inf / inf is NaN, as with Python floats
+        # ratio overflow to inf; inf / inf is NaN, which has no finite value
         bars = ("date,open,high,low,close,volume\n"
                 "2020-01-01,1e-300,1e300,1e-300,1e-300,1e10\n"
                 "2020-01-02,1e300,1e300,1e-300,1e300,1e300\n"
@@ -284,8 +289,16 @@ class TestCompareCommand:
             warnings.simplefilter("always")
             result = run(["compare", write(tmp_path, "b.csv", bars),
                           "--shares-outstanding", "1e6"])
-        assert result == (0, "lix  9.698970\nhui_heubel  nan\namihud_illiq  nan\n", "")
+        assert result == (2, "", "error: hui_heubel must be finite, got nan\n")
         assert caught == []
+
+    def test_zero_five_day_low_rejected(self, tmp_path):
+        bars = ("date,open,high,low,close,volume\n2020-01-01,1,2,0,1,100\n"
+                + "".join(f"2020-01-0{d},1,2,0.5,1,100\n" for d in range(2, 6)))
+        result = run(["compare", write(tmp_path, "b.csv", bars),
+                      "--shares-outstanding", "1e6"])
+        assert result == (2, "", "error: five-day low is 0.0, so the relative "
+                          "range is undefined\n")
 
 
 class TestEmptyBarFile:
@@ -308,6 +321,13 @@ class TestCalibrateCommand:
     def test_bad_model(self):
         code, _, err = run(["calibrate-alpha", "--model", "bogus"])
         assert code == 2
+
+    @pytest.mark.parametrize("dof", ["nan", "inf"])
+    def test_non_finite_dof_rejected(self, dof):
+        result = run(["calibrate-alpha", "--model", f"t:{dof}",
+                      "--paths", "10", "--steps", "10"])
+        assert result == (2, "", f"error: Student-t model needs a finite dof > 2, "
+                          f"got {dof}\n")
 
     def test_overflowing_model_rejected(self):
         code, out, err = run(["calibrate-alpha", "--model", "gauss", "--vol", "100",

@@ -60,6 +60,22 @@ class TestHuiHeubel:
         with pytest.raises(errors.ZeroDollarVolume):
             hui_heubel(MultiDayWindow(bars, shares_outstanding=1e8))
 
+    @pytest.mark.parametrize("low_pad", [100, 150])
+    def test_non_positive_low_rejected(self, low_pad):
+        bars = bars_from([100, 100, 100, 100, 100], low_pad=low_pad)
+        with pytest.raises(errors.NonPositivePrice, match="five-day low"):
+            hui_heubel(MultiDayWindow(bars, shares_outstanding=1e8))
+
+    @pytest.mark.parametrize("volume,shares,got", [
+        (5e-324, 1e8, "inf"),   # the turnover underflows to 0
+        (1e6, 1e307, "inf"),    # shares x mean close overflows
+        (1e308, 1e307, "nan"),  # dollar volume and shares x mean close are inf
+    ])
+    def test_non_finite_ratio_rejected(self, volume, shares, got):
+        w = MultiDayWindow(five_identical_bars(volume=volume), shares_outstanding=shares)
+        with pytest.raises(errors.InvalidParams, match=f"hui_heubel must be finite, got {got}"):
+            hui_heubel(w)
+
     @given(k=st.floats(min_value=1e-3, max_value=1e3))
     def test_currency_invariance(self, k):
         base = hui_heubel(MultiDayWindow(five_identical_bars(),
@@ -101,6 +117,13 @@ class TestAmihud:
         # the first return would divide by the zero close
         w = MultiDayWindow(bars_from([0, 101, 102]), shares_outstanding=1e8)
         with pytest.raises(errors.NonPositivePrice, match="2020-01-01"):
+            amihud_illiq(w)
+
+    def test_non_finite_result_rejected(self):
+        # the close-to-close ratio overflows to inf
+        w = MultiDayWindow(bars_from([1e-300, 1e300], volumes=[1.0, 1.0]),
+                           shares_outstanding=1e8)
+        with pytest.raises(errors.InvalidParams, match="amihud_illiq must be finite, got inf"):
             amihud_illiq(w)
 
     def test_equals_day_by_day_loop(self):

@@ -56,12 +56,17 @@ class TestLixDaily:
     @given(r1=st.floats(min_value=0.01, max_value=10),
            r2=st.floats(min_value=0.01, max_value=10))
     def test_antitone_in_range(self, r1, r2):
-        if r1 == r2:
-            return
+        # 50 + r1 and 50 + r2 can round to one float, and ranges one ulp
+        # apart to one log10: strictly lower only where the ranges differ
         lo, hi = sorted((r1, r2))
-        narrow = lix_daily(make_bar(open=50, low=50, high=50 + lo, close=50)).value
-        wide = lix_daily(make_bar(open=50, low=50, high=50 + hi, close=50)).value
-        assert narrow > wide
+        narrow_bar = make_bar(open=50, low=50, high=50 + lo, close=50)
+        wide_bar = make_bar(open=50, low=50, high=50 + hi, close=50)
+        narrow, wide = lix_daily(narrow_bar).value, lix_daily(wide_bar).value
+        assert narrow >= wide
+        narrow_range = narrow_bar.high - narrow_bar.low
+        wide_range = wide_bar.high - wide_bar.low
+        if wide_range - narrow_range > 1e-12 * wide_range:
+            assert narrow > wide
 
 
     def test_underflowing_ratio_rejected(self):

@@ -135,6 +135,12 @@ class TestWeights:
         with pytest.raises(errors.UnnormalizedWeights):
             BasketSpec.build(pos, strict=True)
 
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_overflowing_weight_sum_rejected(self, strict):
+        pos = [BasketPosition("A", 1e308, 7.0), BasketPosition("B", 1e308, 7.0)]
+        with pytest.raises(errors.InvalidParams, match="float range"):
+            BasketSpec.build(pos, strict=strict)
+
     def test_normalize_mode(self):
         pos = [BasketPosition("A", 2.0, 7.0), BasketPosition("B", 2.0, 7.0)]
         spec = BasketSpec.build(pos)

@@ -325,3 +325,114 @@ def test_malformed_snapshot_file_exits_2_with_a_location(tmp_path, kind):
         assert out.getvalue() == ""
         assert message.startswith("error: ")
         assert any(loc in message for loc in ("(line ", "line 1", "UTF-8", "t=")), message
+
+
+BENCH_BARS, BENCH_BOOKS, BENCH_LEVELS = 5000, 500, 10  # the bench's file sizes
+
+
+def _bench_bar_rows():
+    rng = np.random.default_rng(15)
+    low = np.round(rng.uniform(1, 100, BENCH_BARS), 2)
+    high = low + np.round(rng.uniform(0, 5, BENCH_BARS), 2)
+    mid = (low + high) / 2
+    volume = np.round(rng.lognormal(8, 2, BENCH_BARS))
+    start = datetime.date(2000, 1, 1)
+    return [[str(start + datetime.timedelta(days=i))] + [repr(x) for x in values]
+            for i, values in enumerate(zip(mid.tolist(), high.tolist(), low.tolist(),
+                                           mid.tolist(), volume.tolist()))]
+
+
+def _bench_book_rows():
+    rng = np.random.default_rng(16)
+    rows = []
+    for t in range(BENCH_BOOKS):
+        mid = float(rng.uniform(10, 1000))
+        tick = mid * 1e-4
+        for side, sign in (("B", -1), ("A", 1)):
+            for k in range(BENCH_LEVELS):
+                rows.append([str(t), side, str(k + 1), repr(mid + sign * (k + 1) * tick),
+                             repr(float(rng.integers(100, 10000)))])
+    return rows
+
+
+def _fault_last_bar(kind, rows):
+    row = rows[-1]
+    if kind == "fields":
+        rows[-1] = row[:4]
+    elif kind == "number":
+        row[3] = "x"
+    elif kind == "non_finite":
+        row[5] = "inf"
+    elif kind == "date":
+        row[0] = "2020-02-30"
+    elif kind == "duplicate":
+        row[0] = rows[0][0]
+    elif kind == "invariant":
+        row[1] = repr(float(row[3]) - 1.0)
+    elif kind == "multiline":
+        row[2] = f'"{row[2]}\nx"'
+    elif kind == "unterminated":
+        row[3] = '"' + row[3]
+    elif kind == "huge":
+        row[3] = HUGE_FIELD
+
+
+def _fault_last_book(kind, rows):
+    book = rows[-2 * BENCH_LEVELS:]  # the last book: bids 1..10, then asks 1..10
+    row = book[-1]
+    if kind == "fields":
+        rows[-1] = row[:3]
+    elif kind == "number":
+        row[3] = "x"
+    elif kind == "non_finite":
+        row[0] = "nan"
+    elif kind == "side":
+        row[1] = "X"
+    elif kind == "level":
+        row[2] = "0"
+    elif kind == "duplicate":
+        rows.append(list(row))
+    elif kind == "gap":
+        row[2] = str(BENCH_LEVELS + 2)
+    elif kind == "order":
+        book[-1][3], book[-2][3] = book[-2][3], book[-1][3]
+    elif kind == "crossing":
+        book[0][3] = book[BENCH_LEVELS][3]
+    elif kind == "invariant":
+        row[4] = "0"
+    elif kind == "multiline":
+        row[1] = '"A\nX"'
+    elif kind == "unterminated":
+        row[3] = '"' + row[3]
+    elif kind == "huge":
+        row[3] = HUGE_FIELD
+
+
+def _write_bench_case(path, header, rows, kind):
+    text = "\n".join(",".join(row) for row in [header] + rows) + "\n"
+    if kind == "header":
+        text = text.replace(header[2], "dote", 1)
+    data = text.encode("utf-8")
+    if kind == "utf8":  # inside the last row
+        data = data[:-3] + b"\xff" + data[-3:]
+    path.write_bytes(data)
+
+
+@pytest.mark.parametrize("kind", ("clean",) + BAR_FAULTS)
+def test_bench_size_bar_file_matches_row_parser(tmp_path, kind):
+    rows, path = _bench_bar_rows(), tmp_path / "bars.csv"
+    _fault_last_bar(kind, rows)
+    _write_bench_case(path, data_io.BAR_HEADER, rows, kind)
+    want = _outcome(io_oracle.parse_daily_bars, path)
+    assert (want[0] == "ok") == (kind == "clean"), want
+    assert _outcome(data_io.parse_daily_bars, path) == want
+
+
+@pytest.mark.parametrize("kind", ("clean",) + BOOK_FAULTS)
+def test_bench_size_book_file_matches_row_parser(tmp_path, kind):
+    rows, path = _bench_book_rows(), tmp_path / "book.csv"
+    _fault_last_book(kind, rows)
+    _write_bench_case(path, data_io.BOOK_HEADER, rows, kind)
+    want = _outcome(io_oracle.parse_book_snapshots, path)
+    assert (want[0] == "ok") == (kind == "clean"), want
+    assert _outcome(data_io.parse_book_snapshots, path) == want

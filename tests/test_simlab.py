@@ -1,5 +1,6 @@
 import dataclasses
 import datetime
+import math
 import tracemalloc
 import warnings
 
@@ -229,6 +230,12 @@ class TestPathModelValidation:
             PathModel(kind=WalkKind.STUDENT_T_RETURNS, dof=2.0)
         with pytest.raises(errors.InvalidParams):
             PathModel(kind=WalkKind.STUDENT_T_RETURNS)
+
+    @pytest.mark.parametrize("dof", [math.nan, math.inf])
+    def test_student_t_needs_finite_dof(self, dof):
+        # numpy's standard_t draws NaN for these
+        with pytest.raises(errors.InvalidParams, match="dof"):
+            PathModel(kind=WalkKind.STUDENT_T_RETURNS, dof=dof)
 
 
 class TestSynthSession:
