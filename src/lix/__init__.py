@@ -5,8 +5,8 @@ from . import errors
 from .comparative import MultiDayWindow, amihud_illiq, hui_heubel
 from .costmodel import (ExecutionPlan, cost_per_unit, cost_per_unit_value,
                         cost_single_shot, cost_sliced, price_impact)
-from .data_io import (compute_adv, parse_basket_positions, parse_book_snapshots,
-                      parse_daily_bars, read_bars, read_books, write_daily_bars)
+from .data_io import (compute_adv, parse_basket_positions, read_bars, read_books,
+                      write_daily_bars)
 from .measures import (Bars, DailyBar, IntradayWindow, LiquidityIndex, LixKind,
                        ScalingParams, lix_daily, lix_daily_many, lix_intraday_raw,
                        time_scale_to_daily)
@@ -30,8 +30,8 @@ __all__ = [
     "BasketPosition", "BasketSpec", "basket_lix", "basket_with_etf_lix",
     "venue_combine",
     "MultiDayWindow", "hui_heubel", "amihud_illiq",
-    "read_bars", "read_books", "parse_daily_bars", "write_daily_bars",
-    "parse_book_snapshots", "parse_basket_positions", "compute_adv",
+    "read_bars", "read_books", "write_daily_bars", "parse_basket_positions",
+    "compute_adv",
 ]
 
 __version__ = "0.1.0"

@@ -55,9 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("lix", parents=[common],
                        help="daily liquidity index from a bar file")
     s.add_argument("bars", help="CSV: date,open,high,low,close,volume")
-    g = s.add_mutually_exclusive_group()
-    g.add_argument("--date", help="single ISO date to evaluate")
-    g.add_argument("--all", action="store_true", help="every day (default)")
+    s.add_argument("--date", help="single ISO date to evaluate (default every day)")
 
     s = sub.add_parser("lix-intraday", parents=[common],
                        help="intraday index, raw and scaled to the daily horizon")

@@ -12,8 +12,8 @@ keys, and check the rows with the records' vectorised `rejects` masks. A
 clean file becomes `Bars` or `Books` arrays. A file that fails any bulk
 check is walked row by row in file order with the scalar field checks,
 the duplicate check and the record constructor, and the first fault found
-is raised. `parse_daily_bars` and `parse_book_snapshots` return the same
-data as DailyBar and OrderBookSnapshot records.
+is raised. Iterating `Bars` or `Books` yields DailyBar or
+OrderBookSnapshot records.
 """
 
 from __future__ import annotations
@@ -159,16 +159,8 @@ def _walk_bars(instrument, lines, rows):
             raise errors.InvariantViolation(str(exc), line=line) from None
 
 
-def parse_daily_bars(path, instrument_id: str | None = None) -> list[DailyBar]:
-    """Read `date,open,high,low,close,volume` rows into validated bars.
-
-    Bars are returned in ascending date order; duplicate dates are rejected.
-    """
-    return list(read_bars(path, instrument_id))
-
-
 def write_daily_bars(bars, path) -> None:
-    """Serialize bars so that parse_daily_bars round-trips them exactly."""
+    """Serialize bars so that read_bars round-trips them exactly."""
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(BAR_HEADER)
@@ -274,15 +266,6 @@ def _assemble_books(ts, stamps, sides, levels, price, volume) -> Books:
     return books
 
 
-def parse_book_snapshots(path) -> list[OrderBookSnapshot]:
-    """Read `timestamp,side,level,price,volume` rows into snapshots.
-
-    Rows are grouped by timestamp; within a timestamp each side's levels
-    must run contiguously from 1. Level 1 is the touch price.
-    """
-    return list(read_books(path))
-
-
 def parse_basket_positions(path) -> list[BasketPosition]:
     """Read `instrument,beta,lix` rows into basket positions."""
     lines, rows, fault = _read_rows(path, POSITION_HEADER)
@@ -300,8 +283,7 @@ def parse_basket_positions(path) -> list[BasketPosition]:
     return out
 
 
-def compute_adv(bars, window_days: int = 20,
-                session_length: float = 28800.0) -> AdvContext:
+def compute_adv(bars, window_days: int = 20) -> AdvContext:
     """Mean share volume over the trailing window, skipping zero-volume days.
 
     `bars` is a sequence of DailyBar, or Bars.
@@ -315,5 +297,4 @@ def compute_adv(bars, window_days: int = 20,
     if not nonzero:
         raise errors.AllZeroVolume(
             f"all {len(window)} bars in the ADV window have zero volume")
-    return AdvContext(adv=sum(nonzero) / len(nonzero), window_days=window_days,
-                      session_length=session_length)
+    return AdvContext(adv=sum(nonzero) / len(nonzero))

@@ -105,20 +105,16 @@ class OrderBookSnapshot:
 
 @dataclass(frozen=True)
 class AdvContext:
-    """Average daily volume plus the session length it was observed over."""
+    """Average daily volume for LIXI's ADV term, (1 - alpha) * log10(ADV / V).
+
+    The session length cancels from that term, so it is not needed here.
+    """
 
     adv: float
-    window_days: int = 20
-    session_length: float = 28800.0
 
     def __post_init__(self):
         if not (math.isfinite(self.adv) and self.adv > 0):
             raise errors.InvalidAdv(f"adv must be positive, got {self.adv}")
-        if self.window_days < 1:
-            raise errors.InvalidParams(f"window_days must be >= 1, got {self.window_days}")
-        if self.session_length <= 0:
-            raise errors.InvalidParams(
-                f"session_length must be positive, got {self.session_length}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -53,6 +53,11 @@ class BasketSpec:
         except OverflowError:
             raise errors.InvalidParams("weights sum past the float range") from None
         if normalize:
+            for p in positions:
+                if p.beta / total == 0:
+                    raise errors.InvalidParams(
+                        f"weight for {p.instrument_id} ({p.beta}) underflows to 0 "
+                        f"once normalised by the weight sum {total}")
             positions = tuple(BasketPosition(p.instrument_id, p.beta / total, p.lix)
                               for p in positions)
         elif abs(total - 1.0) > WEIGHT_TOLERANCE:

@@ -31,6 +31,16 @@ from .orderbook import AdvContext, BookLevel, Books, OrderBookSnapshot, lixi_man
 _CHUNK_PATHS = 4096  # fixed so chunking never changes results
 _BLOCK_BYTES = 2 ** 20  # a block of walked paths fits in a 2 MiB L2 cache
 
+# Fixed settings of every synthetic session: its length in seconds (8
+# hours), book depth as a fraction of daily volume, the log-scales of the
+# lognormal depth and spread jitters, and a spread floor as a fraction of
+# mid, which keeps the books of a flat path valid.
+_SESSION_LENGTH = 28800.0
+_DEPTH_FRACTION = 0.02
+_DEPTH_JITTER = 0.25
+_SPREAD_JITTER = 0.15
+_MIN_SPREAD_FRACTION = 1e-6
+
 
 class WalkKind(enum.Enum):
     ARITHMETIC_RANDOM_WALK = "rw"
@@ -58,6 +68,10 @@ class PathModel:
         if self.steps_per_day < 10:
             raise errors.InvalidParams(
                 f"steps_per_day must be >= 10, got {self.steps_per_day}")
+        for name in ("volatility_per_step", "drift_per_step"):
+            if not math.isfinite(getattr(self, name)):
+                raise errors.InvalidParams(
+                    f"{name} must be finite, got {getattr(self, name)}")
         if self.volatility_per_step < 0:
             raise errors.InvalidParams(
                 f"volatility_per_step must be >= 0, got {self.volatility_per_step}")
@@ -215,26 +229,20 @@ def estimate_alpha(model: PathModel, n_paths: int, time_grid) -> AlphaEstimate:
 class BookParams:
     """Snapshot generator settings for one synthetic instrument.
 
-    Book depth is a fraction of daily volume; the target VWAP spread is the
-    range expected over the book's turnover time, realized_range *
-    sqrt(depth / ADV), so snapshot liquidity tracks the daily index by
-    construction. Lognormal jitters provide scatter.
+    Book depth is a fixed fraction of daily volume (_DEPTH_FRACTION); the
+    target VWAP spread is the range expected over the book's turnover time,
+    realized_range * sqrt(depth / ADV), so snapshot liquidity tracks the
+    daily index by construction. Lognormal jitters provide scatter.
     """
 
     start_price: float = 100.0
     levels: int = 5
-    depth_fraction: float = 0.02
-    depth_jitter: float = 0.25
-    spread_jitter: float = 0.15
     n_snapshots: int = 100
     n_windows: int = 100
-    min_spread_fraction: float = 1e-6
 
     def __post_init__(self):
-        if self.start_price <= 0 or self.levels < 1 or self.depth_fraction <= 0:
+        if self.start_price <= 0 or self.levels < 1:
             raise errors.InvalidParams("invalid book parameters")
-        if self.depth_jitter < 0 or self.spread_jitter < 0:
-            raise errors.InvalidParams("jitters must be non-negative")
         if self.n_snapshots < 1 or self.n_windows < 1:
             raise errors.InvalidParams("need at least one snapshot and window")
 
@@ -254,9 +262,8 @@ def _snapshot_at(mid: float, total_depth: float, vwap_spread: float,
 
 def synth_session(model: PathModel, daily_volume: float, book_params: BookParams,
                   seed: int | None = None, instrument_id: str = "SYN",
-                  day: datetime.date = datetime.date(2020, 1, 1),
-                  session_length: float = 28800.0):
-    """One simulated trading session.
+                  day: datetime.date = datetime.date(2020, 1, 1)):
+    """One simulated trading session of _SESSION_LENGTH seconds.
 
     Returns (DailyBar, snapshots, windows): a price path summarized as a
     bar, book snapshots sampled uniformly through the day, and cumulative
@@ -283,15 +290,13 @@ def synth_session(model: PathModel, daily_volume: float, book_params: BookParams
     snapshots = []
     for k in range(1, book_params.n_snapshots + 1):
         step = max(1, round(k * steps / book_params.n_snapshots))
-        t = step / steps * session_length
+        t = step / steps * _SESSION_LENGTH
         mid = float(prices[step])
-        depth = daily_volume * book_params.depth_fraction
-        if book_params.depth_jitter > 0:
-            depth *= math.exp(book_params.depth_jitter * rng.standard_normal())
-        spread = max(realized_range, book_params.min_spread_fraction * mid) \
+        depth = daily_volume * _DEPTH_FRACTION
+        depth *= math.exp(_DEPTH_JITTER * rng.standard_normal())
+        spread = max(realized_range, _MIN_SPREAD_FRACTION * mid) \
             * math.sqrt(depth / daily_volume)
-        if book_params.spread_jitter > 0:
-            spread *= math.exp(book_params.spread_jitter * rng.standard_normal())
+        spread *= math.exp(_SPREAD_JITTER * rng.standard_normal())
         # The deepest bid sits spread * levels / (levels + 1) below mid, so
         # this cap keeps it at or above 0.1 * mid at any depth.
         spread = min(spread, 0.9 * mid * (levels + 1) / levels)
@@ -304,16 +309,16 @@ def synth_session(model: PathModel, daily_volume: float, book_params: BookParams
         step = max(2, round(k * steps / book_params.n_windows))
         frac = step / steps
         windows.append(IntradayWindow(
-            elapsed=frac * session_length, session_length=session_length,
+            elapsed=frac * _SESSION_LENGTH, session_length=_SESSION_LENGTH,
             cum_volume=daily_volume * frac, high_t=float(hi[step]),
             low_t=float(lo[step]), last_price=float(prices[step])))
     return bar, snapshots, windows
 
 
-def exact_scaling_session(bar: DailyBar, alpha: float, fractions,
-                          session_length: float = 28800.0):
-    """Intraday windows satisfying the linear-volume and t^alpha-range
-    assumptions exactly, anchored to the given full-day bar.
+def exact_scaling_session(bar: DailyBar, alpha: float, fractions):
+    """Intraday windows of a _SESSION_LENGTH-second session satisfying the
+    linear-volume and t^alpha-range assumptions exactly, anchored to the
+    given full-day bar.
 
     The window range at fraction f is (high - low) * f^alpha placed around
     the close so the f = 1 window reproduces the bar; last price is the
@@ -330,7 +335,7 @@ def exact_scaling_session(bar: DailyBar, alpha: float, fractions,
         rng_t = full_range * f ** alpha
         low_t = bar.close - anchor * rng_t
         windows.append(IntradayWindow(
-            elapsed=f * session_length, session_length=session_length,
+            elapsed=f * _SESSION_LENGTH, session_length=_SESSION_LENGTH,
             cum_volume=bar.volume * f, high_t=low_t + rng_t,
             low_t=low_t, last_price=bar.close))
     return windows
@@ -371,28 +376,27 @@ class StudyPoint:
     mean_lixi: float
 
 
-def default_universe(n_instruments: int = 50, lix_range=(5.0, 10.0),
-                     start_price: float = 100.0, steps_per_day: int = 250,
-                     daily_range_fraction: float = 0.02,
+def default_universe(n_instruments: int = 50, start_price: float = 100.0,
                      seed: int = 0) -> list[InstrumentParams]:
-    """Instruments with target liquidity evenly spaced across lix_range.
+    """Instruments with target liquidity evenly spaced across LIX 5 to 10.
 
-    Daily volume is chosen so volume * price / expected_range hits the
-    target: the expected daily range of a Gaussian-return path is about
-    price * sigma_day * sqrt(8/pi).
+    Each follows Gaussian returns over 250 steps a day, scaled so the
+    expected daily range is 2% of the start price. Daily volume is chosen
+    so volume * price / expected_range hits the target: the expected daily
+    range of a Gaussian-return path is about price * sigma_day * sqrt(8/pi).
     """
     if n_instruments < 1:
         raise errors.InvalidParams("need at least one instrument")
-    lo, hi = lix_range
-    sigma_day = daily_range_fraction / math.sqrt(8 / math.pi)
+    lo, hi = 5.0, 10.0
+    steps, range_fraction = 250, 0.02
+    sigma_day = range_fraction / math.sqrt(8 / math.pi)
     universe = []
     for i in range(n_instruments):
         target = lo if n_instruments == 1 else lo + (hi - lo) * i / (n_instruments - 1)
-        expected_range = start_price * daily_range_fraction
+        expected_range = start_price * range_fraction
         volume = expected_range * 10 ** target / start_price
-        model = PathModel(kind=WalkKind.GAUSSIAN_RETURNS,
-                          steps_per_day=steps_per_day,
-                          volatility_per_step=sigma_day / math.sqrt(steps_per_day),
+        model = PathModel(kind=WalkKind.GAUSSIAN_RETURNS, steps_per_day=steps,
+                          volatility_per_step=sigma_day / math.sqrt(steps),
                           seed=seed)
         universe.append(InstrumentParams(
             instrument_id=f"SYN{i:03d}", model=model, base_volume=volume,
@@ -455,8 +459,7 @@ def lixi_vs_lix_study(universe, days: int, seed: int,
         except errors.LixError:
             dropped += 1
             continue
-        ctx = AdvContext(adv=sum(volumes) / len(volumes),
-                         window_days=min(20, len(volumes)))
+        ctx = AdvContext(adv=sum(volumes) / len(volumes))
         lixi_values = [v for v in lixi_many(Books.of(last_day), ctx, params)
                        if not isinstance(v, errors.LixError)]
         if not lixi_values:

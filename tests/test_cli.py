@@ -3,6 +3,7 @@ import io
 import json
 import warnings
 
+import numpy as np
 import pytest
 
 from lix.cli import main
@@ -174,10 +175,10 @@ class TestLixiCommand:
         code, out, _ = run(["lixi", write(tmp_path, "book.csv", book),
                             "--adv-from", write(tmp_path, "adv.csv", ADV_BARS),
                             "--decompose", "--format", "json", "--precision", "17"])
-        from lix import AdvContext, lixi, lixi_decomposed, parse_book_snapshots
+        from lix import AdvContext, lixi, lixi_decomposed, read_books
         ctx = AdvContext(4000)
         want = []
-        for snap in parse_book_snapshots(tmp_path / "book.csv"):
+        for snap in list(read_books(tmp_path / "book.csv")):
             d = lixi_decomposed(snap, ctx)
             want.append({"timestamp": snap.timestamp, "lixi": lixi(snap, ctx).value,
                          "spread_term": d.spread_term, "depth_term": d.depth_term,
@@ -259,6 +260,67 @@ class TestBasketCommand:
         result = run(["basket", write(tmp_path, "p.csv", text)])
         assert result == (2, "", "error: weights sum past the float range\n")
 
+    def test_weight_underflowing_once_normalised_is_named(self, tmp_path):
+        text = "instrument,beta,lix\nA,1e-320,7\nB,1e308,7\n"
+        result = run(["basket", write(tmp_path, "p.csv", text)])
+        assert result == (2, "", "error: weight for A (1e-320) underflows to 0 "
+                          "once normalised by the weight sum 1e+308\n")
+
+
+POSITION_FAULTS = ("header", "fields", "number", "non_finite", "beta", "quote",
+                   "utf8", "underflow")
+
+
+def _malformed_position_file(rng, kind, path) -> str:
+    """Write a positions file of 1-5 rows with one fault of the given kind;
+    return the faulty row's instrument."""
+    rows = [[f"I{k}", repr(float(rng.uniform(0.01, 2))), repr(float(rng.uniform(3, 11)))]
+            for k in range(int(rng.integers(1, 6)))]
+    row = rows[int(rng.integers(0, len(rows)))]
+    instrument = row[0]
+    column = int(rng.integers(1, 3))
+    if kind == "fields":
+        row[:] = row[:int(rng.integers(1, 3))] if rng.random() < 0.5 else row + ["1"]
+    elif kind == "number":
+        row[column] = str(rng.choice(["x", "", "1e", "0x10", "seven"]))
+    elif kind == "non_finite":
+        row[column] = str(rng.choice(["nan", "inf", "-inf", "1e400", "-Infinity"]))
+    elif kind == "beta":
+        row[1] = str(rng.choice(["0", "-0.0", "-1", "-1e-300"]))
+    elif kind == "quote":
+        # An unclosed quote swallows the rest of the file, delimiters
+        # included, so the row comes up short. (One on the file's last field
+        # swallows no delimiter and is read as if closed.)
+        column = int(rng.integers(0, 2))
+        row[column] = '"' + row[column]
+    elif kind == "underflow":  # positive, but 0 once divided by the sum
+        row[1] = str(rng.choice(["5e-324", "1e-320", "1e-310"]))
+        rows.insert(int(rng.integers(0, len(rows) + 1)), ["BIG", "1e308", "7"])
+    text = "instrument,beta,lix\n" + "".join(",".join(r) + "\n" for r in rows)
+    if kind == "header":
+        text = text.replace(str(rng.choice(["instrument", "beta", "lix"])), "weight", 1)
+    data = text.encode("utf-8")
+    if kind == "utf8":
+        cut = int(rng.integers(0, len(data) + 1))
+        data = data[:cut] + b"\xff\xfe" + data[cut:]
+    path.write_bytes(data)
+    return instrument
+
+
+@pytest.mark.parametrize("kind", POSITION_FAULTS)
+def test_malformed_position_file_exits_2_with_a_location(tmp_path, kind):
+    rng = np.random.default_rng([9, POSITION_FAULTS.index(kind)])
+    path = tmp_path / "positions.csv"
+    for _ in range(40):
+        instrument = _malformed_position_file(rng, kind, path)
+        code, out, err = run(["basket", str(path), "--etf-lix", "6"])
+        assert (code, out) == (2, ""), (code, path.read_bytes(), err)
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        if kind == "underflow":
+            assert f"weight for {instrument} (" in err and "underflows" in err, err
+        else:
+            assert "line" in err.lower() or "utf-8" in err.lower(), err
+
 
 class TestCompareCommand:
     def test_table(self, tmp_path):
@@ -328,6 +390,12 @@ class TestCalibrateCommand:
                       "--paths", "10", "--steps", "10"])
         assert result == (2, "", f"error: Student-t model needs a finite dof > 2, "
                           f"got {dof}\n")
+
+    @pytest.mark.parametrize("vol", ["nan", "inf"])
+    def test_non_finite_volatility_rejected(self, vol):
+        result = run(["calibrate-alpha", "--vol", vol, "--paths", "10", "--steps", "10"])
+        assert result == (2, "", f"error: volatility_per_step must be finite, "
+                          f"got {vol}\n")
 
     def test_overflowing_model_rejected(self):
         code, out, err = run(["calibrate-alpha", "--model", "gauss", "--vol", "100",

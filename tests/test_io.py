@@ -3,8 +3,8 @@ import datetime
 import pytest
 
 from lix import (compute_adv, errors, lix_daily, lixi_tau,
-                 parse_basket_positions, parse_book_snapshots,
-                 parse_daily_bars, write_daily_bars)
+                 parse_basket_positions, read_bars, read_books,
+                 write_daily_bars)
 from conftest import make_bar
 
 GOOD_BARS = """date,open,high,low,close,volume
@@ -26,7 +26,7 @@ def write(tmp_path, name, text):
 
 class TestParseDailyBars:
     def test_well_formed(self, tmp_path):
-        bars = parse_daily_bars(write(tmp_path, "bars.csv", GOOD_BARS))
+        bars = list(read_bars(write(tmp_path, "bars.csv", GOOD_BARS)))
         assert len(bars) == 2
         assert bars[0].date == datetime.date(2013, 11, 20)
         assert lix_daily(bars[0]).value == pytest.approx(8.69897, abs=1e-5)
@@ -35,27 +35,27 @@ class TestParseDailyBars:
         bad = ("date,open,high,low,close,volume\n"
                "2013-11-20,49.5,51,50,50,10000000\n")
         with pytest.raises(errors.InvariantViolation) as exc:
-            parse_daily_bars(write(tmp_path, "bars.csv", bad))
+            list(read_bars(write(tmp_path, "bars.csv", bad)))
         assert exc.value.line == 2
 
     def test_header_only_is_empty_list(self, tmp_path):
-        assert parse_daily_bars(
-            write(tmp_path, "bars.csv", "date,open,high,low,close,volume\n")) == []
+        assert list(read_bars(
+            write(tmp_path, "bars.csv", "date,open,high,low,close,volume\n"))) == []
 
     def test_bad_header(self, tmp_path):
         with pytest.raises(errors.ParseError):
-            parse_daily_bars(write(tmp_path, "bars.csv", "a,b,c\n1,2,3\n"))
+            list(read_bars(write(tmp_path, "bars.csv", "a,b,c\n1,2,3\n")))
 
     def test_duplicate_date(self, tmp_path):
         dup = GOOD_BARS + "2013-11-20,50,51,50,50,1\n"
         with pytest.raises(errors.ParseError) as exc:
-            parse_daily_bars(write(tmp_path, "bars.csv", dup))
+            list(read_bars(write(tmp_path, "bars.csv", dup)))
         assert "duplicate" in str(exc.value)
 
     def test_non_numeric_field(self, tmp_path):
         bad = "date,open,high,low,close,volume\n2013-11-20,x,51,50,50,1\n"
         with pytest.raises(errors.ParseError) as exc:
-            parse_daily_bars(write(tmp_path, "bars.csv", bad))
+            list(read_bars(write(tmp_path, "bars.csv", bad)))
         assert exc.value.line == 2
 
     @pytest.mark.parametrize("sep", ["\x0c", "\x85", "\u2028"])
@@ -63,19 +63,19 @@ class TestParseDailyBars:
         # Only \n, \r and \r\n end a CSV row; other separators are field text.
         bad = f"date,open,high,low,close,volume\n2013-11-20,5{sep}0,51,50,50,1\n"
         with pytest.raises(errors.ParseError) as exc:
-            parse_daily_bars(write(tmp_path, "bars.csv", bad))
+            list(read_bars(write(tmp_path, "bars.csv", bad)))
         assert (exc.value.line, exc.value.column) == (2, "open")
 
     def test_nan_rejected(self, tmp_path):
         bad = "date,open,high,low,close,volume\n2013-11-20,nan,51,50,50,1\n"
         with pytest.raises(errors.ParseError):
-            parse_daily_bars(write(tmp_path, "bars.csv", bad))
+            list(read_bars(write(tmp_path, "bars.csv", bad)))
 
     def test_sorted_output(self, tmp_path):
         swapped = ("date,open,high,low,close,volume\n"
                    "2013-11-21,50,51,50,50,2\n"
                    "2013-11-20,50,51,50,50,1\n")
-        bars = parse_daily_bars(write(tmp_path, "bars.csv", swapped))
+        bars = list(read_bars(write(tmp_path, "bars.csv", swapped)))
         assert [b.date.day for b in bars] == [20, 21]
 
     def test_round_trip(self, tmp_path):
@@ -85,13 +85,13 @@ class TestParseDailyBars:
                 for i in range(3)]
         path = tmp_path / "rt.csv"
         write_daily_bars(bars, path)
-        parsed = parse_daily_bars(path, instrument_id="TEST")
+        parsed = list(read_bars(path, instrument_id="TEST"))
         assert parsed == bars
 
 
 class TestParseBookSnapshots:
     def test_round_trip_into_lixi(self, tmp_path):
-        snaps = parse_book_snapshots(write(tmp_path, "book.csv", GOOD_BOOK))
+        snaps = list(read_books(write(tmp_path, "book.csv", GOOD_BOOK)))
         assert len(snaps) == 1
         assert lixi_tau(snaps[0]).value == pytest.approx(5.0, abs=1e-12)
 
@@ -99,24 +99,24 @@ class TestParseBookSnapshots:
         bad = ("timestamp,side,level,price,volume\n"
                "0,B,1,99,1000\n0,B,3,98,1000\n0,A,1,101,1000\n")
         with pytest.raises(errors.GapInLevels):
-            parse_book_snapshots(write(tmp_path, "book.csv", bad))
+            list(read_books(write(tmp_path, "book.csv", bad)))
 
     def test_crossed_book(self, tmp_path):
         bad = ("timestamp,side,level,price,volume\n"
                "0,B,1,101,1000\n0,A,1,100,1000\n")
         with pytest.raises(errors.CrossedBook):
-            parse_book_snapshots(write(tmp_path, "book.csv", bad))
+            list(read_books(write(tmp_path, "book.csv", bad)))
 
     def test_bad_side(self, tmp_path):
         bad = "timestamp,side,level,price,volume\n0,X,1,99,1000\n"
         with pytest.raises(errors.ParseError):
-            parse_book_snapshots(write(tmp_path, "book.csv", bad))
+            list(read_books(write(tmp_path, "book.csv", bad)))
 
     def test_multiple_timestamps_sorted(self, tmp_path):
         text = ("timestamp,side,level,price,volume\n"
                 "10,B,1,99,1\n10,A,1,101,1\n"
                 "5,B,1,98,1\n5,A,1,102,1\n")
-        snaps = parse_book_snapshots(write(tmp_path, "book.csv", text))
+        snaps = list(read_books(write(tmp_path, "book.csv", text)))
         assert [s.timestamp for s in snaps] == [5.0, 10.0]
 
 

@@ -215,7 +215,7 @@ def test_bar_reader_matches_row_parser(tmp_path, seed):
     for _ in range(N_FILES):
         _write_case(rng, path, data_io.BAR_HEADER, _clean_bar_rows, BAR_FAULTS, _fault_bar)
         want = _outcome(io_oracle.parse_daily_bars, path)
-        assert _outcome(data_io.parse_daily_bars, path) == want, path.read_bytes()
+        assert _outcome(lambda p: list(read_bars(p)), path) == want, path.read_bytes()
         kinds.add(want[0])
     assert {"ok", "ParseError", "InvariantViolation"} <= kinds
 
@@ -229,7 +229,7 @@ def test_book_reader_matches_row_parser(tmp_path, seed):
         _write_case(rng, path, data_io.BOOK_HEADER, _clean_book_rows, BOOK_FAULTS,
                     _fault_book)
         want = _outcome(io_oracle.parse_book_snapshots, path)
-        assert _outcome(data_io.parse_book_snapshots, path) == want, path.read_bytes()
+        assert _outcome(lambda p: list(read_books(p)), path) == want, path.read_bytes()
         kinds.add(want[0])
     assert {"ok", "ParseError", "InvariantViolation", "GapInLevels",
             "CrossedBook"} <= kinds
@@ -263,9 +263,9 @@ def test_reader_edge_cases_match_row_parser(tmp_path, header, body):
     path = tmp_path / "case.csv"
     path.write_text(header + body, encoding="utf-8")
     if header == BAR:
-        parse, oracle = data_io.parse_daily_bars, io_oracle.parse_daily_bars
+        parse, oracle = lambda p: list(read_bars(p)), io_oracle.parse_daily_bars
     else:
-        parse, oracle = data_io.parse_book_snapshots, io_oracle.parse_book_snapshots
+        parse, oracle = lambda p: list(read_books(p)), io_oracle.parse_book_snapshots
     assert _outcome(parse, path) == _outcome(oracle, path)
 
 
@@ -425,7 +425,7 @@ def test_bench_size_bar_file_matches_row_parser(tmp_path, kind):
     _write_bench_case(path, data_io.BAR_HEADER, rows, kind)
     want = _outcome(io_oracle.parse_daily_bars, path)
     assert (want[0] == "ok") == (kind == "clean"), want
-    assert _outcome(data_io.parse_daily_bars, path) == want
+    assert _outcome(lambda p: list(read_bars(p)), path) == want
 
 
 @pytest.mark.parametrize("kind", ("clean",) + BOOK_FAULTS)
@@ -435,4 +435,4 @@ def test_bench_size_book_file_matches_row_parser(tmp_path, kind):
     _write_bench_case(path, data_io.BOOK_HEADER, rows, kind)
     want = _outcome(io_oracle.parse_book_snapshots, path)
     assert (want[0] == "ok") == (kind == "clean"), want
-    assert _outcome(data_io.parse_book_snapshots, path) == want
+    assert _outcome(lambda p: list(read_books(p)), path) == want

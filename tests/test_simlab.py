@@ -237,9 +237,17 @@ class TestPathModelValidation:
         with pytest.raises(errors.InvalidParams, match="dof"):
             PathModel(kind=WalkKind.STUDENT_T_RETURNS, dof=dof)
 
+    @pytest.mark.parametrize("field", ["volatility_per_step", "drift_per_step"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_walk_parameters_must_be_finite(self, field, value):
+        with pytest.raises(errors.InvalidParams,
+                           match=f"^{field} must be finite, got {value}$"):
+            PathModel(kind=WalkKind.ARITHMETIC_RANDOM_WALK, **{field: value})
+
 
 class TestSynthSession:
     BOOK = BookParams(n_snapshots=5, n_windows=4)
+    GOLDEN_BOOK = BookParams(levels=2, n_snapshots=5, n_windows=4)
     MODEL = PathModel(kind=WalkKind.GAUSSIAN_RETURNS, steps_per_day=100,
                       volatility_per_step=0.001, seed=0)
 
@@ -247,6 +255,52 @@ class TestSynthSession:
         a = synth_session(self.MODEL, 1e6, self.BOOK, seed=42)
         b = synth_session(self.MODEL, 1e6, self.BOOK, seed=42)
         assert a == b
+
+    def test_golden(self):
+        # Pins the bar, book prices and volumes, snapshot times and window
+        # fields of one seeded session to the last bit.
+        session = synth_session(self.MODEL, 1e6, self.GOLDEN_BOOK, seed=42)
+        assert repr(session) == (
+            "(DailyBar(instrument_id='SYN', date=datetime.date(2020, 1, 1), "
+            'open=100.0, high=100.54960070855898, low=99.49856528752208, '
+            'close=99.49856528752208, volume=1000000.0), '
+            '[OrderBookSnapshot(timestamp=5760.0, '
+            'bids=(BookLevel(price=99.87883781029285, volume=4554.122827347999), '
+            'BookLevel(price=99.82351811652431, volume=4554.122827347999)), '
+            'asks=(BookLevel(price=99.9894771978299, volume=4554.122827347999), '
+            'BookLevel(price=100.04479689159844, volume=4554.122827347999))), '
+            'OrderBookSnapshot(timestamp=11520.0, '
+            'bids=(BookLevel(price=100.09975441121448, volume=5603.5927438340905), '
+            'BookLevel(price=100.04633161538787, volume=5603.5927438340905)), '
+            'asks=(BookLevel(price=100.20660000286769, volume=5603.5927438340905), '
+            'BookLevel(price=100.2600227986943, volume=5603.5927438340905))), '
+            'OrderBookSnapshot(timestamp=17280.0, '
+            'bids=(BookLevel(price=100.34014521021821, volume=7585.0710021268105), '
+            'BookLevel(price=100.28780943223512, volume=7585.0710021268105)), '
+            'asks=(BookLevel(price=100.44481676618439, volume=7585.0710021268105), '
+            'BookLevel(price=100.49715254416748, volume=7585.0710021268105))), '
+            'OrderBookSnapshot(timestamp=23040.0, '
+            'bids=(BookLevel(price=100.16326687655447, volume=4698.574403333579), '
+            'BookLevel(price=100.1205525105635, volume=4698.574403333579)), '
+            'asks=(BookLevel(price=100.24869560853642, volume=4698.574403333579), '
+            'BookLevel(price=100.2914099745274, volume=4698.574403333579))), '
+            'OrderBookSnapshot(timestamp=28800.0, '
+            'bids=(BookLevel(price=99.45313107022973, volume=4201.021486256049), '
+            'BookLevel(price=99.40769685293739, volume=4201.021486256049)), '
+            'asks=(BookLevel(price=99.54399950481444, volume=4201.021486256049), '
+            'BookLevel(price=99.58943372210678, volume=4201.021486256049)))], '
+            '[IntradayWindow(elapsed=7200.0, session_length=28800.0, '
+            'cum_volume=250000.0, high_t=100.09562057592183, '
+            'low_t=99.66499110283645, last_price=99.91156415858032), '
+            'IntradayWindow(elapsed=14400.0, session_length=28800.0, '
+            'cum_volume=500000.0, high_t=100.45709666666667, '
+            'low_t=99.66499110283645, last_price=100.45709666666667), '
+            'IntradayWindow(elapsed=21600.0, session_length=28800.0, '
+            'cum_volume=750000.0, high_t=100.54960070855898, '
+            'low_t=99.66499110283645, last_price=100.13205488251819), '
+            'IntradayWindow(elapsed=28800.0, session_length=28800.0, '
+            'cum_volume=1000000.0, high_t=100.54960070855898, '
+            'low_t=99.49856528752208, last_price=99.49856528752208)])')
 
     def test_zero_volatility_yields_flat_bar(self):
         model = PathModel(kind=WalkKind.GAUSSIAN_RETURNS, steps_per_day=100,
@@ -287,6 +341,17 @@ class TestSynthSession:
 
 
 class TestExactScalingSession:
+    def test_golden(self):
+        bar, _, _ = synth_session(TestSynthSession.MODEL, 1e6,
+                                  TestSynthSession.GOLDEN_BOOK, seed=42)
+        assert repr(exact_scaling_session(bar, 0.5, [0.25, 1.0])) == (
+            '[IntradayWindow(elapsed=7200.0, session_length=28800.0, '
+            'cum_volume=250000.0, high_t=100.02408299804054, '
+            'low_t=99.49856528752208, last_price=99.49856528752208), '
+            'IntradayWindow(elapsed=28800.0, session_length=28800.0, '
+            'cum_volume=1000000.0, high_t=100.54960070855898, '
+            'low_t=99.49856528752208, last_price=99.49856528752208)]')
+
     @pytest.mark.parametrize("alpha", [0.5, 0.6])
     def test_reproduces_daily(self, alpha, reference_bar):
         bar = reference_bar
