@@ -10,6 +10,7 @@ and `study`). JSON is a list from `lix`, `lixi` and `compare`, else an object.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
 import os
@@ -132,24 +133,42 @@ def _cell(value, precision: int) -> str:
     return f"{value:.{precision}f}" if isinstance(value, float) else str(value)
 
 
-def _emit_rows(rows, args, out, fmt=None):
-    """Print one result (a dict) or a list of row dicts, whose keys are the
-    columns, in `fmt` (default `args.format`). JSON rounds top-level floats."""
+def _text_cells(values, precision: int) -> list:
+    # A column holds values of one type; floats print to `precision` places.
+    if not values or isinstance(values[0], str):
+        return values
+    if isinstance(values[0], float):
+        return [f"{v:.{precision}f}" for v in values]
+    return [_cell(v, precision) for v in values]
+
+
+def _emit(columns, args, out, fmt=None, single=False):
+    """Write a table given as {name: column of values}, whose columns each
+    hold one type, in `fmt` (default `args.format`).
+
+    Text and CSV format a column at a time, floats to `args.precision`
+    places, and write the table at once. JSON rounds floats to that many
+    places and prints the rows as a list of objects, or the one row as an
+    object when `single`.
+    """
     fmt = fmt or args.format
     p = args.precision
     if fmt == "json":
-        def rounded(r):
-            return {k: (round(v, p) if isinstance(v, float) else v)
-                    for k, v in r.items()}
-        payload = rounded(rows) if isinstance(rows, dict) else list(map(rounded, rows))
-        print(json.dumps(payload), file=out)
+        values = [[round(v, p) for v in col] if col and isinstance(col[0], float)
+                  else col for col in columns.values()]
+        rows = [dict(zip(columns, row)) for row in zip(*values)]
+        out.write(json.dumps(rows[0] if single else rows) + "\n")
         return
-    rows = [rows] if isinstance(rows, dict) else rows
-    sep = "," if fmt == "csv" else "  "
-    if fmt == "csv":
-        print(",".join(rows[0]), file=out)
-    for r in rows:
-        print(sep.join(_cell(v, p) for v in r.values()), file=out)
+    cells = [_text_cells(col, p) for col in columns.values()]
+    lines = [",".join(columns)] if fmt == "csv" else []
+    lines += map(("," if fmt == "csv" else "  ").join, zip(*cells))
+    if lines:
+        out.write("\n".join(lines) + "\n")
+
+
+def _emit_one(row, args, out):
+    """Write one result, a dict: an object in JSON, else a one-row table."""
+    _emit({name: [value] for name, value in row.items()}, args, out, single=True)
 
 
 def _read_bars(path):
@@ -171,19 +190,19 @@ def _cmd_lix(args, out, err):
             raise errors.EmptyDataset(f"no bar for {wanted} in {args.bars}")
         i = bars.dates.index(wanted)
         bars = bars[i:i + 1]
-    rows = []
-    skipped = 0
+    dates, values = [], []
     for day, value in zip(bars.dates, lix_daily_many(bars)):
         if isinstance(value, errors.LixError):
-            skipped += 1
             print(f"warning: {day}: {value}", file=err)
         else:
-            rows.append({"date": day.isoformat(), "lix": value})
-    if skipped:
-        print(f"warning: skipped {skipped} day(s) with undefined index", file=err)
-    if not rows:
+            dates.append(day)
+            values.append(value)
+    if len(dates) < len(bars):
+        print(f"warning: skipped {len(bars) - len(dates)} day(s) with undefined index",
+              file=err)
+    if not dates:
         raise errors.EmptyDataset("every day in the input has an undefined index")
-    _emit_rows(rows, args, out)
+    _emit({"date": list(map(datetime.date.isoformat, dates)), "lix": values}, args, out)
     return 0
 
 
@@ -194,7 +213,7 @@ def _cmd_lix_intraday(args, out, err):
     raw = lix_intraday_raw(window)
     scaled = time_scale_to_daily(raw, args.elapsed, args.session,
                                  ScalingParams(args.alpha))
-    _emit_rows({"lix_raw": raw.value, "lix": scaled.value}, args, out)
+    _emit_one({"lix_raw": raw.value, "lix": scaled.value}, args, out)
     return 0
 
 
@@ -206,17 +225,16 @@ def _cmd_lixi(args, out, err):
     params = ScalingParams(args.alpha)
     values = lixi_many(books, ctx, params)
     parts = lixi_decomposed_many(books, ctx) if args.decompose else [None] * len(values)
-    rows = []
-    for timestamp, value, d in zip(books.timestamps.tolist(), values, parts):
+    for value, d in zip(values, parts):
         for result in (value, d):
             if isinstance(result, errors.LixError):
                 raise result
-        row = {"timestamp": timestamp, "lixi": value}
-        if args.decompose:
-            row.update(spread_term=d.spread_term, depth_term=d.depth_term,
-                       adv_term=d.adv_term)
-        rows.append(row)
-    _emit_rows(rows, args, out)
+    columns = {"timestamp": books.timestamps.tolist(), "lixi": values}
+    if args.decompose:
+        columns.update(spread_term=[d.spread_term for d in parts],
+                       depth_term=[d.depth_term for d in parts],
+                       adv_term=[d.adv_term for d in parts])
+    _emit(columns, args, out)
     return 0
 
 
@@ -228,7 +246,7 @@ def _cmd_cost(args, out, err):
            "cost_single_shot": costmodel.cost_single_shot(plan),
            "cost_sliced": costmodel.cost_sliced(plan),
            "cost_per_unit": costmodel.cost_per_unit(plan)}
-    _emit_rows(row, args, out)
+    _emit_one(row, args, out)
     return 0
 
 
@@ -240,20 +258,21 @@ def _cmd_basket(args, out, err):
                                       strict=args.strict)
     if abs(spec.weight_sum - 1.0) > portfolio.WEIGHT_TOLERANCE:
         print(f"warning: weights sum to {spec.weight_sum:g}; normalizing", file=err)
-    row = {"lix": portfolio.basket_lix(spec).value}
+    basket = portfolio.basket_lix(spec)
+    row = {"lix": basket.value}
     if args.etf_lix is not None:
-        row["lix_with_etf"] = portfolio.basket_with_etf_lix(spec).value
-    _emit_rows(row, args, out)
+        # The ETF-share leg adds to the basket leg as a venue does.
+        row["lix_with_etf"] = portfolio.venue_combine([basket, spec.etf_lix]).value
+    _emit_one(row, args, out)
     return 0
 
 
 def _cmd_compare(args, out, err):
     bars = _read_bars(args.bars)
     window = MultiDayWindow(bars=bars, shares_outstanding=args.shares_outstanding)
-    rows = [{"measure": "lix", "value": lix_daily(bars[-1]).value},
-            {"measure": "hui_heubel", "value": hui_heubel(window)},
-            {"measure": "amihud_illiq", "value": amihud_illiq(window)}]
-    _emit_rows(rows, args, out)
+    _emit({"measure": ["lix", "hui_heubel", "amihud_illiq"],
+           "value": [lix_daily(bars[-1]).value, hui_heubel(window), amihud_illiq(window)]},
+          args, out)
     return 0
 
 
@@ -284,7 +303,7 @@ def _cmd_calibrate_alpha(args, out, err):
     est = simlab.estimate_alpha(model, args.paths, grid)
     row = {"alpha_hat": est.alpha_hat, "stderr": est.stderr,
            "n_paths": est.n_paths, "time_grid": list(est.time_grid)}
-    _emit_rows(row, args, out)
+    _emit_one(row, args, out)
     return 0
 
 
@@ -295,14 +314,15 @@ def _cmd_study(args, out, err):
                                               seed=args.seed,
                                               snapshots_per_day=args.snapshots)
     if args.points_csv:
-        rows = [{"instrument": pt.instrument_id, "mean_lix": pt.mean_lix,
-                 "mean_lixi": pt.mean_lixi} for pt in points]
+        columns = {"instrument": [pt.instrument_id for pt in points],
+                   "mean_lix": [pt.mean_lix for pt in points],
+                   "mean_lixi": [pt.mean_lixi for pt in points]}
         with open(args.points_csv, "w", encoding="utf-8", newline="") as f:
-            _emit_rows(rows, args, f, "csv")
+            _emit(columns, args, f, "csv")
     row = {"slope": report.slope, "intercept": report.intercept,
            "r_squared": report.r_squared, "n_points": report.n_points,
            "n_dropped": report.n_dropped}
-    _emit_rows(row, args, out)
+    _emit_one(row, args, out)
     return 0
 
 
@@ -323,7 +343,8 @@ def main(argv=None, out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed usage/help
         return int(exc.code or 0)
     if args.format is None:

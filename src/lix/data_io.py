@@ -3,17 +3,21 @@
 All files are RFC-4180 CSV, UTF-8, with ISO-8601 dates. Parse errors carry
 line numbers; domain-invariant failures (e.g. low > high) are reported
 separately from malformed syntax. When a file has several faults, the first
-in file order is reported.
+in file order is reported. A quoted field still open at the end of the file
+is malformed.
 
-Bar and snapshot files are read in two steps. `read_bars` and `read_books`
-first check the whole file in bulk: they convert each column at once with
-Python's own `float`, `int` and `date.fromisoformat`, look for repeated
-keys, and check the rows with the records' vectorised `rejects` masks. A
-clean file becomes `Bars` or `Books` arrays. A file that fails any bulk
-check is walked row by row in file order with the scalar field checks,
-the duplicate check and the record constructor, and the first fault found
-is raised. Iterating `Bars` or `Books` yields DailyBar or
-OrderBookSnapshot records.
+Every file is read in two steps. First the whole file is checked in bulk:
+one `csv` pass reads its rows without numbering lines, each column is
+converted at once with Python's own `float`, `int` and
+`date.fromisoformat`, keys are checked for repeats, and the rows go through
+the records' checks (the vectorised `rejects` masks for bars and book
+levels, the constructor for positions). A clean file becomes `Bars`,
+`Books` or a list of BasketPosition. A file that fails any bulk check is
+read again with line numbers and walked row by row in file order with the
+scalar field checks, the duplicate check and the record constructor, and
+the first fault found is raised with its line; a walk that finds none (the
+file only had blank rows, say) hands its rows back to the bulk step.
+Iterating `Bars` or `Books` yields DailyBar or OrderBookSnapshot records.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import csv
 import datetime
 import io
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -76,32 +81,63 @@ def _level(text: str, line: int) -> int:
     return level
 
 
-def _read_rows(path, expected_header):
-    """(lines, rows, fault): every non-blank data row after the header.
+# The fields of CSV text (excel dialect, not strict) as far as each quoted
+# field is closed: a match that stops short of the end stops at a quoted
+# field still open at the end of the text.
+_CLOSED_FIELDS = re.compile(r'(?:"(?:[^"]|"")*"|[^",\r\n][^,\r\n]*|[,\r\n])*')
 
-    `lines[i]` is the physical line row i ends on, so quoted fields
-    spanning newlines do not shift later locations. A row with the wrong
-    number of fields, or malformed CSV, ends the read: `fault` is its
-    ParseError (else None), for the caller to raise once it has found no
-    fault in the rows before it.
+
+def _check_header(reader, path, expected_header):
+    header = next(reader, None)
+    if header is None:
+        raise errors.ParseError(f"{path}: empty file, expected header "
+                                f"{','.join(expected_header)}", line=1)
+    if [h.strip().lower() for h in header] != expected_header:
+        raise errors.ParseError(
+            f"{path}: bad header {header!r}, expected {','.join(expected_header)}",
+            line=1)
+
+
+def _read_rows(path, expected_header):
+    """(text, rows): the file's text and its data rows after the header.
+
+    A clean file is read in one `csv` pass that keeps no line numbers.
+    `rows` is None when the file is not clean: a row is blank or has the
+    wrong number of fields, or the CSV is malformed, a quoted field left
+    open at the end of the file included. Only then are lines numbered:
+    the caller's walk reads the text again with `_numbered_rows`.
     """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise errors.ParseError(f"{path}: not valid UTF-8: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""), strict=True)
+    try:
+        _check_header(reader, path, expected_header)
+        rows = list(reader)
+    except csv.Error:
+        return text, None
+    if not {len(expected_header)}.issuperset(map(len, rows)):
+        return text, None
+    return text, rows
+
+
+def _numbered_rows(path, text, expected_header):
+    """(lines, rows, fault): every non-blank data row after the header.
+
+    `lines[i]` is the physical line row i ends on, so quoted fields
+    spanning newlines do not shift later locations. A row with the wrong
+    number of fields, malformed CSV, or a quoted field still open at the end
+    of the file ends the read: `fault` is its ParseError (else None), for
+    the caller to raise once it has found no fault in the rows before it.
+    """
+    path = Path(path)
     reader = csv.reader(io.StringIO(text, newline=""))
     lines, rows, fault = [], [], None
     width = len(expected_header)
     try:
-        header = next(reader, None)
-        if header is None:
-            raise errors.ParseError(f"{path}: empty file, expected header "
-                                    f"{','.join(expected_header)}", line=1)
-        if [h.strip().lower() for h in header] != expected_header:
-            raise errors.ParseError(
-                f"{path}: bad header {header!r}, expected {','.join(expected_header)}",
-                line=1)
+        _check_header(reader, path, expected_header)
         for row in reader:
             if len(row) != width:
                 if not row or row == [""]:
@@ -113,6 +149,11 @@ def _read_rows(path, expected_header):
             rows.append(row)
     except csv.Error as exc:
         fault = errors.ParseError(f"{path}: malformed CSV: {exc}", line=reader.line_num)
+    if fault is None and _CLOSED_FIELDS.match(text).end() < len(text):
+        if lines and lines[-1] == reader.line_num:  # the open record
+            del lines[-1], rows[-1]
+        fault = errors.ParseError(f"{path}: malformed CSV: quoted field not closed "
+                                  f"at end of file", line=reader.line_num)
     return lines, rows, fault
 
 
@@ -127,24 +168,32 @@ def read_bars(path, instrument_id: str | None = None) -> Bars:
     row must hold a valid DailyBar.
     """
     instrument = instrument_id or Path(path).stem
-    lines, rows, fault = _read_rows(path, BAR_HEADER)
-    texts = _columns(rows, len(BAR_HEADER))
-    try:
-        days = list(map(datetime.date.fromisoformat, map(str.strip, texts[0])))
-        block = np.array([list(map(float, col)) for col in texts[1:]], dtype=float)
-        clean = len(set(days)) == len(days) and not DailyBar.rejects(*block).any()
-    except ValueError:
-        clean = False
-    if not clean:
-        _walk_bars(instrument, lines, rows)
-    if fault is not None:
-        raise fault
+    text, rows = _read_rows(path, BAR_HEADER)
+    columns = None if rows is None else _bar_columns(rows)
+    if columns is None:
+        columns = _bar_columns(_walk_bars(path, text, instrument))
+    days, block = columns
     order = sorted(range(len(days)), key=days.__getitem__)
     return Bars(instrument, tuple(days[i] for i in order), *block[:, order])
 
 
-def _walk_bars(instrument, lines, rows):
-    # Check the rows one by one in file order and raise the first fault.
+def _bar_columns(rows):
+    # (days, block) of the rows, or None when they fail the bulk check.
+    texts = _columns(rows, len(BAR_HEADER))
+    try:
+        days = list(map(datetime.date.fromisoformat, map(str.strip, texts[0])))
+        block = np.array([list(map(float, col)) for col in texts[1:]], dtype=float)
+    except ValueError:
+        return None
+    if len(set(days)) != len(days) or DailyBar.rejects(*block).any():
+        return None
+    return days, block
+
+
+def _walk_bars(path, text, instrument):
+    # Check the rows one by one in file order and raise the first fault;
+    # return the rows when there is none.
+    lines, rows, fault = _numbered_rows(path, text, BAR_HEADER)
     seen = {}
     for line, row in zip(lines, rows):
         day = _date(row[0], line)
@@ -157,6 +206,9 @@ def _walk_bars(instrument, lines, rows):
             DailyBar(instrument, day, *values)
         except errors.InvariantViolation as exc:
             raise errors.InvariantViolation(str(exc), line=line) from None
+    if fault is not None:
+        raise fault
+    return rows
 
 
 def write_daily_bars(bars, path) -> None:
@@ -176,29 +228,37 @@ def read_books(path) -> Books:
     must run contiguously from 1, each level must be a valid BookLevel and
     each book a valid OrderBookSnapshot. Level 1 is the touch price.
     """
-    lines, rows, fault = _read_rows(path, BOOK_HEADER)
+    text, rows = _read_rows(path, BOOK_HEADER)
+    columns = None if rows is None else _book_columns(rows)
+    if columns is None:
+        columns = _book_columns(_walk_books(path, text))
+    return _assemble_books(*columns)
+
+
+def _book_columns(rows):
+    # (ts, stamps, sides, levels, price, volume) of the rows, or None when
+    # they fail the bulk check.
     texts = _columns(rows, len(BOOK_HEADER))
     sides = list(map(str.upper, map(str.strip, texts[1])))
     try:
         levels = list(map(int, texts[2]))
         ts, price, volume = np.array([list(map(float, texts[k])) for k in (0, 3, 4)],
                                      dtype=float)
-        stamps = ts.tolist()
-        clean = ({"B", "A"}.issuperset(sides) and min(levels, default=1) >= 1
-                 and np.isfinite(ts).all()
-                 and len(set(zip(stamps, sides, levels))) == len(rows)
-                 and not BookLevel.rejects(price, volume).any())
     except ValueError:
-        clean = False
-    if not clean:
-        _walk_books(lines, rows)
-    if fault is not None:
-        raise fault
-    return _assemble_books(ts, stamps, sides, levels, price, volume)
+        return None
+    stamps = ts.tolist()
+    if not ({"B", "A"}.issuperset(sides) and min(levels, default=1) >= 1
+            and np.isfinite(ts).all()
+            and len(set(zip(stamps, sides, levels))) == len(rows)
+            and not BookLevel.rejects(price, volume).any()):
+        return None
+    return ts, stamps, sides, levels, price, volume
 
 
-def _walk_books(lines, rows):
-    # Check the rows one by one in file order and raise the first fault.
+def _walk_books(path, text):
+    # Check the rows one by one in file order and raise the first fault;
+    # return the rows when there is none.
+    lines, rows, fault = _numbered_rows(path, text, BOOK_HEADER)
     seen = set()
     for line, row in zip(lines, rows):
         ts = _finite_float(row[0], line, "timestamp")
@@ -214,6 +274,9 @@ def _walk_books(lines, rows):
             BookLevel(price, volume)
         except errors.InvariantViolation as exc:
             raise errors.InvariantViolation(str(exc), line=line) from None
+    if fault is not None:
+        raise fault
+    return rows
 
 
 def _assemble_books(ts, stamps, sides, levels, price, volume) -> Books:
@@ -268,19 +331,38 @@ def _assemble_books(ts, stamps, sides, levels, price, volume) -> Books:
 
 def parse_basket_positions(path) -> list[BasketPosition]:
     """Read `instrument,beta,lix` rows into basket positions."""
-    lines, rows, fault = _read_rows(path, POSITION_HEADER)
-    out = []
-    for i, row in zip(lines, rows):
-        beta = _finite_float(row[1], i, "beta")
-        lix_value = _finite_float(row[2], i, "lix")
+    text, rows = _read_rows(path, POSITION_HEADER)
+    positions = None if rows is None else _positions(rows)
+    if positions is None:
+        positions = _positions(_walk_positions(path, text))
+    return positions
+
+
+def _positions(rows):
+    # The rows' positions, or None when a value is not a number or a
+    # position's own checks (finite, weight > 0) reject it.
+    names, betas, lixes = _columns(rows, len(POSITION_HEADER))
+    try:
+        return list(map(BasketPosition, map(str.strip, names),
+                        map(float, betas), map(float, lixes)))
+    except (ValueError, errors.InvalidParams):
+        return None
+
+
+def _walk_positions(path, text):
+    # Check the rows one by one in file order and raise the first fault;
+    # return the rows when there is none.
+    lines, rows, fault = _numbered_rows(path, text, POSITION_HEADER)
+    for line, row in zip(lines, rows):
+        beta = _finite_float(row[1], line, "beta")
+        lix_value = _finite_float(row[2], line, "lix")
         try:
-            out.append(BasketPosition(instrument_id=row[0].strip(),
-                                      beta=beta, lix=lix_value))
+            BasketPosition(instrument_id=row[0].strip(), beta=beta, lix=lix_value)
         except errors.InvalidParams as exc:
-            raise errors.InvariantViolation(str(exc), line=i) from None
+            raise errors.InvariantViolation(str(exc), line=line) from None
     if fault is not None:
         raise fault
-    return out
+    return rows
 
 
 def compute_adv(bars, window_days: int = 20) -> AdvContext:

@@ -32,17 +32,39 @@ def _finite_float(text: str, line: int, column: str) -> float:
     return v
 
 
+def _ends_in_open_quote(text: str) -> bool:
+    """Whether `csv.reader` (excel dialect, not strict) is still inside a
+    quoted field at the end of `text`, followed one character at a time."""
+    state = "start"  # of a field; or "field", "quoted", "quote" (one read in "quoted")
+    for c in text:
+        if state == "quoted":
+            if c == '"':
+                state = "quote"
+        elif state == "quote":  # a doubled quote is a literal one
+            state = "quoted" if c == '"' else "start" if c in ",\r\n" else "field"
+        elif c in ",\r\n":
+            state = "start"
+        elif state == "start" and c == '"':
+            state = "quoted"
+        else:
+            state = "field"
+    return state == "quoted"
+
+
 def _open_rows(path, expected_header):
     """Yield (line, fields) for each non-blank data row after the header.
 
     `line` is the physical line the row ends on, so quoted fields spanning
-    newlines do not shift later locations.
+    newlines do not shift later locations. A quoted field still open at the
+    end of the file is malformed CSV: its row is not yielded.
     """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise errors.ParseError(f"{path}: not valid UTF-8: {exc}") from None
+    n_lines = len(io.StringIO(text, newline="").readlines())
+    open_at_end = _ends_in_open_quote(text)
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader, None)
@@ -60,10 +82,15 @@ def _open_rows(path, expected_header):
                 raise errors.ParseError(
                     f"expected {len(expected_header)} fields, got {len(row)}",
                     line=reader.line_num)
+            if open_at_end and reader.line_num == n_lines:
+                break
             yield reader.line_num, row
     except csv.Error as exc:
         raise errors.ParseError(f"{path}: malformed CSV: {exc}",
                                 line=reader.line_num) from None
+    if open_at_end:
+        raise errors.ParseError(f"{path}: malformed CSV: quoted field not closed "
+                                f"at end of file", line=n_lines)
 
 
 def parse_daily_bars(path, instrument_id: str | None = None) -> list[DailyBar]:

@@ -1,0 +1,32 @@
+"""tools/ab.py: seed lists and the summary of paired runs."""
+
+import importlib.util
+from pathlib import Path
+
+_spec = importlib.util.spec_from_file_location(
+    "ab", Path(__file__).resolve().parent.parent / "tools" / "ab.py")
+ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab)
+
+
+def _run(**values):
+    return {"failed": 0, "attempted": 10,
+            "metrics": {k: {"value": v, "unit": "s"} for k, v in values.items()}}
+
+
+def test_seed_lists():
+    assert ab.parse_seeds("801-803") == [801, 802, 803]
+    assert ab.parse_seeds("7,9-10") == [7, 9, 10]
+
+
+def test_summary_counts_wins_by_direction_and_ties_for_neither():
+    metrics = [{"name": "wall_s", "better": "lower"},
+               {"name": "rows_per_s", "better": "higher"}]
+    runs = {"base": [_run(wall_s=1.0, rows_per_s=5), _run(wall_s=2.0, rows_per_s=5),
+                     _run(wall_s=3.0, rows_per_s=5)],
+            "change": [_run(wall_s=0.5, rows_per_s=6), _run(wall_s=2.0, rows_per_s=4),
+                       _run(wall_s=1.0, rows_per_s=5)]}
+    wall, rows = ab.summarize(metrics, runs)[1:3]
+    assert wall.startswith("wall_s") and wall.endswith("-50.0%     2/3")
+    assert "2 [1.5, 2.5]" in wall  # base median [q1, q3]
+    assert rows.startswith("rows_per_s") and rows.endswith("+0.0%     1/3")

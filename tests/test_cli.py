@@ -268,7 +268,7 @@ class TestBasketCommand:
 
 
 POSITION_FAULTS = ("header", "fields", "number", "non_finite", "beta", "quote",
-                   "utf8", "underflow")
+                   "utf8", "underflow", "open_last")
 
 
 def _malformed_position_file(rng, kind, path) -> str:
@@ -289,10 +289,12 @@ def _malformed_position_file(rng, kind, path) -> str:
         row[1] = str(rng.choice(["0", "-0.0", "-1", "-1e-300"]))
     elif kind == "quote":
         # An unclosed quote swallows the rest of the file, delimiters
-        # included, so the row comes up short. (One on the file's last field
-        # swallows no delimiter and is read as if closed.)
+        # included, so the row comes up short.
         column = int(rng.integers(0, 2))
         row[column] = '"' + row[column]
+    elif kind == "open_last":  # swallows no delimiter; still open at the end
+        instrument = rows[-1][0]
+        rows[-1][2] = '"' + rows[-1][2]
     elif kind == "underflow":  # positive, but 0 once divided by the sum
         row[1] = str(rng.choice(["5e-324", "1e-320", "1e-310"]))
         rows.insert(int(rng.integers(0, len(rows) + 1)), ["BIG", "1e308", "7"])
@@ -469,18 +471,31 @@ class TestDispatch:
     def test_help_exits_zero(self):
         assert run(["--help"])[0] == 0
 
+    @pytest.mark.parametrize("argv", [["lix"], ["frobnicate"], ["cost", "--bogus", "1"]])
+    def test_usage_error_goes_to_the_given_stream(self, capsys, argv):
+        code, out, err = run(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: lix") and "error:" in err
+        assert capsys.readouterr() == ("", "")
+
+    def test_help_goes_to_the_given_stream(self, capsys):
+        code, out, err = run(["lixi", "--help"])
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: lix lixi") and "--decompose" in out
+        assert capsys.readouterr() == ("", "")
+
     def test_precision_flag(self, tmp_path):
         code, out, _ = run(["lix", write(tmp_path, "b.csv", BARS),
                             "--precision", "2"])
         assert "8.70" in out and "8.698" not in out
 
     @pytest.mark.parametrize("value", ["-1", "-2"])
-    def test_negative_precision_rejected(self, tmp_path, capsys, value):
-        code, out, _ = run(["lix", write(tmp_path, "b.csv", BARS),
-                            "--precision", value])
+    def test_negative_precision_rejected(self, tmp_path, value):
+        code, out, err = run(["lix", write(tmp_path, "b.csv", BARS),
+                              "--precision", value])
         assert code == 2
         assert out == ""
-        assert "integer >= 0" in capsys.readouterr().err  # argparse's usage error
+        assert "integer >= 0" in err  # argparse's usage error
 
     def test_precision_variable(self, tmp_path, monkeypatch):
         path = write(tmp_path, "b.csv", BARS)
@@ -507,3 +522,28 @@ class TestDispatch:
         argv = ["study", "--instruments", "5", "--days", "3", "--seed", "9",
                 "--snapshots", "5"]
         assert run(argv) == run(argv)
+
+
+class TestOpenQuoteAtEnd:
+    """A quoted field still open at the end of the file is malformed CSV."""
+
+    @pytest.mark.parametrize("argv,name,text", [
+        (["basket"], "p.csv", 'instrument,beta,lix\nA,0.5,"7'),
+        (["basket"], "p.csv", 'instrument,beta,lix\nB,0.5,8\nA,0.5,"7\n'),
+        (["lix"], "b.csv", BARS + '2013-11-21,50,52,49,51,"1000'),
+        (["lixi", "--adv-from", "ADV"], "s.csv", BOOK + '1,B,1,99,"1000\n'),
+    ])
+    def test_rejected_with_its_line(self, tmp_path, argv, name, text):
+        path = write(tmp_path, name, text)
+        argv = [a.replace("ADV", write(tmp_path, "adv.csv", ADV_BARS)) for a in argv]
+        code, out, err = run(argv[:1] + [path] + argv[1:])
+        line = text.rstrip("\n").count("\n") + 1
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}: malformed CSV: quoted field not closed at "
+                       f"end of file (line {line})\n")
+
+    def test_quote_closed_before_more_text_still_reads(self, tmp_path):
+        # `"5"0` is 50 to the csv module's default (not strict) dialect.
+        text = BARS.replace("-20,50,", '-20,"5"0,')
+        code, out, _ = run(["lix", write(tmp_path, "b.csv", text), "--format", "csv"])
+        assert (code, out) == (0, "date,lix\n2013-11-20,8.698970\n")

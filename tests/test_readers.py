@@ -24,6 +24,9 @@ BAR_FAULTS = ("header", "fields", "number", "non_finite", "date", "duplicate",
 BOOK_FAULTS = ("header", "fields", "number", "non_finite", "side", "level",
                "duplicate", "gap", "order", "crossing", "invariant", "utf8",
                "multiline", "unterminated", "huge")
+# A quote still open at the end of the file: tested per kind below. (The
+# mixed fuzz above meets it too, when "unterminated" hits the last field.)
+OPEN_LAST = ("open_last",)
 
 
 def _number(rng, x: float) -> str:
@@ -178,6 +181,8 @@ def _fault_book(rng, kind, rows):
         row[1] = f'"{row[1]}\n"' if rng.random() < 0.5 else f'"{row[1]}"'
     elif kind == "unterminated":
         row[3] = '"' + row[3]
+    elif kind == "open_last":
+        rows[-1][-1] = '"' + rows[-1][-1]
     elif kind == "huge":
         row[3] = HUGE_FIELD
     return False
@@ -255,6 +260,9 @@ EDGE_CASES = [
     (BOOK, "0,A,1,101,10\n0,A,99999999999999999999999,102,10\n"),
     (BOOK, "0,B,1,99,10\n0,A,1,101,10\n1,B,2,98,1\n1,A,1,100,1\n"),  # gap on B
     (BOOK, "0,B,1,101,10\n0,A,1,101,10\n0,X,1,1,1\n"),     # row fault before crossing
+    (BAR, '2020-01-02,50,51,49,50,1\n2020-01-03,x,51,49,50,"1\n'),  # open quote first
+    (BAR, '2020-01-02,50,51,49,50,1\n2020-01-03,x,51,49,50,1\n"'),
+    (BOOK, '0,B,1,99,10\n0,A,1,0,"10\n'),
 ]
 
 
@@ -309,12 +317,12 @@ def _malformed_book_file(rng, kind, path):
     path.write_bytes(text.encode("utf-8"))
 
 
-@pytest.mark.parametrize("kind", [k for k in BOOK_FAULTS if k != "multiline"])
+@pytest.mark.parametrize("kind", [k for k in BOOK_FAULTS + OPEN_LAST if k != "multiline"])
 def test_malformed_snapshot_file_exits_2_with_a_location(tmp_path, kind):
     adv = tmp_path / "adv.csv"
     adv.write_text("date,open,high,low,close,volume\n2020-01-02,50,51,49,50,1000\n",
                    encoding="utf-8")
-    rng = np.random.default_rng([14, BOOK_FAULTS.index(kind)])
+    rng = np.random.default_rng([14, (BOOK_FAULTS + OPEN_LAST).index(kind)])
     path = tmp_path / "book.csv"
     for _ in range(15):
         _malformed_book_file(rng, kind, path)
@@ -373,6 +381,8 @@ def _fault_last_bar(kind, rows):
         row[2] = f'"{row[2]}\nx"'
     elif kind == "unterminated":
         row[3] = '"' + row[3]
+    elif kind == "open_last":
+        row[5] = '"' + row[5]
     elif kind == "huge":
         row[3] = HUGE_FIELD
 
@@ -404,6 +414,8 @@ def _fault_last_book(kind, rows):
         row[1] = '"A\nX"'
     elif kind == "unterminated":
         row[3] = '"' + row[3]
+    elif kind == "open_last":
+        row[4] = '"' + row[4]
     elif kind == "huge":
         row[3] = HUGE_FIELD
 
@@ -418,7 +430,7 @@ def _write_bench_case(path, header, rows, kind):
     path.write_bytes(data)
 
 
-@pytest.mark.parametrize("kind", ("clean",) + BAR_FAULTS)
+@pytest.mark.parametrize("kind", ("clean",) + BAR_FAULTS + OPEN_LAST)
 def test_bench_size_bar_file_matches_row_parser(tmp_path, kind):
     rows, path = _bench_bar_rows(), tmp_path / "bars.csv"
     _fault_last_bar(kind, rows)
@@ -428,7 +440,7 @@ def test_bench_size_bar_file_matches_row_parser(tmp_path, kind):
     assert _outcome(lambda p: list(read_bars(p)), path) == want
 
 
-@pytest.mark.parametrize("kind", ("clean",) + BOOK_FAULTS)
+@pytest.mark.parametrize("kind", ("clean",) + BOOK_FAULTS + OPEN_LAST)
 def test_bench_size_book_file_matches_row_parser(tmp_path, kind):
     rows, path = _bench_book_rows(), tmp_path / "book.csv"
     _fault_last_book(kind, rows)
@@ -436,3 +448,34 @@ def test_bench_size_book_file_matches_row_parser(tmp_path, kind):
     want = _outcome(io_oracle.parse_book_snapshots, path)
     assert (want[0] == "ok") == (kind == "clean"), want
     assert _outcome(lambda p: list(read_books(p)), path) == want
+
+
+@pytest.mark.parametrize("kind,text,location", [
+    # A quoted field spans physical lines; the fault's line counts them all.
+    ("bars", BAR + '"2020-01-02\n",50,51,49,50,1\n2020-01-03,50,51,49,50,1\n'
+                   '2020-01-06,50,51,49,x,1\n', ("close is not a number: 'x'", 5)),
+    ("bars", BAR + '2020-01-02,50,"51\r\n\r\n",49,50,1\n\n2020-01-03,50,51,49,50,1,9\n',
+     ("expected 6 fields, got 7", 6)),
+    ("books", BOOK + '0,"B\n\n",1,99,10\n0,A,1,101,10\n1,A,0,101,10\n',
+     ("level must be >= 1, got 0", 6)),
+])
+def test_line_after_a_multiline_quoted_field(tmp_path, kind, text, location):
+    path = tmp_path / f"{kind}.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(errors.ParseError) as exc:
+        (read_bars if kind == "bars" else read_books)(path)
+    assert (str(exc.value).split(" (line")[0], exc.value.line) == location
+
+
+def test_clean_files_are_read_without_numbering_lines(tmp_path, monkeypatch):
+    def numbered(*args):
+        raise AssertionError("a clean file was read row by row")
+    monkeypatch.setattr(data_io, "_numbered_rows", numbered)
+    bar_path, book_path = tmp_path / "bars.csv", tmp_path / "book.csv"
+    _write_bench_case(bar_path, data_io.BAR_HEADER, _bench_bar_rows(), "clean")
+    _write_bench_case(book_path, data_io.BOOK_HEADER, _bench_book_rows(), "clean")
+    pos_path = tmp_path / "positions.csv"
+    pos_path.write_text("instrument,beta,lix\nA,0.25,7\nB,0.75,8.5\n", encoding="utf-8")
+    assert len(read_bars(bar_path)) == BENCH_BARS
+    assert len(read_books(book_path)) == BENCH_BOOKS
+    assert len(data_io.parse_basket_positions(pos_path)) == 2

@@ -1,0 +1,105 @@
+"""A/B comparison of two checkouts on one lixbench workload.
+
+Usage:
+
+    python3 tools/ab.py BASE_DIR CHANGE_DIR --workload files \
+        --seeds 801-810 --seconds 30
+
+For each seed it runs `lixbench/run.py` (with `--trace 0`) once in each
+checkout, one after the other, alternating which checkout runs first. Each
+run is a fresh process started in its checkout, so it imports that
+checkout's `src/`. It prints each run's metrics as it ends, then, for each
+end-to-end metric that BENCHMARK.json declares, both sides' median and
+quartiles, the change in the median, and the pairs the change won. A pair
+with equal values is a tie and counts for neither side.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def parse_seeds(text: str) -> list[int]:
+    """`801-810` or `801,805,809` (or a mix) as a list of seeds."""
+    seeds = []
+    for part in text.split(","):
+        first, _, last = part.partition("-")
+        seeds += range(int(first), int(last or first) + 1)
+    return seeds
+
+
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run; its result line (`correct`, `failed`, `metrics`)."""
+    proc = subprocess.run(
+        [sys.executable, "lixbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=False)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"ab: {checkout} seed {seed} exited {proc.returncode}:\n"
+                         f"{proc.stderr[-2000:]}")
+    return json.loads(lines[-1])
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(metrics: list[dict], runs: dict[str, list[dict]]) -> list[str]:
+    """One line per declared metric present in the runs."""
+    lines = [f"{'metric':<16}{'base median [q1, q3]':>34}{'change median [q1, q3]':>34}"
+             f"{'change':>9}{'wins':>8}"]
+    for m in metrics:
+        name = m["name"]
+        if name not in runs["base"][0]["metrics"]:
+            continue
+        base = [r["metrics"][name]["value"] for r in runs["base"]]
+        change = [r["metrics"][name]["value"] for r in runs["change"]]
+        sign = 1 if m["better"] == "higher" else -1
+        wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
+        (b1, b2, b3), (c1, c2, c3) = quartiles(base), quartiles(change)
+        rel = (c2 - b2) / b2 if b2 else float("nan")
+        lines.append(f"{name:<16}{f'{b2:.4g} [{b1:.4g}, {b3:.4g}]':>34}"
+                     f"{f'{c2:.4g} [{c1:.4g}, {c3:.4g}]':>34}{rel:>+9.1%}"
+                     f"{f'{wins}/{len(base)}':>8}")
+    for side in ("base", "change"):
+        failed = sum(r["failed"] for r in runs[side])
+        attempted = sum(r["attempted"] for r in runs[side])
+        lines.append(f"{side}: {failed} of {attempted} operations failed")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", type=Path, help="checkout measured as the base")
+    parser.add_argument("change", type=Path, help="checkout measured as the change")
+    parser.add_argument("--workload", required=True,
+                        choices=["files", "requests", "simulate"])
+    parser.add_argument("--seeds", required=True, type=parse_seeds,
+                        help="one pair of runs per seed: 801-810 or 801,805")
+    parser.add_argument("--seconds", type=float, default=30)
+    args = parser.parse_args(argv)
+
+    spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    runs = {"base": [], "change": []}
+    for i, seed in enumerate(args.seeds):
+        order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        for side in order:
+            result = run_bench(getattr(args, side), args.workload, seed, args.seconds)
+            runs[side].append(result)
+            values = " ".join(f"{k}={v['value']:.4g}" for k, v in result["metrics"].items())
+            print(f"seed {seed} {side:<6} {values}", flush=True)
+    print("\n".join(summarize(spec["end_to_end"], runs)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
