@@ -23,9 +23,18 @@ from .orderbook import lixi_decomposed_many, lixi_many
 from .comparative import MultiDayWindow, amihud_illiq, hui_heubel
 
 
-def _non_negative_int(text: str) -> int:
+# Decimal places past the 1074th are zeros for every float64 (2**-1074 is
+# the smallest). Python refuses to format to 2**31 places or more, and
+# below that would build a string of that many digits per value.
+MAX_PRECISION = 1074
+
+
+def _precision(text: str) -> int:
     if not text.strip().isdecimal():
         raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    if int(text) > MAX_PRECISION:
+        raise argparse.ArgumentTypeError(
+            f"expected at most {MAX_PRECISION} decimal places, got {text!r}")
     return int(text)
 
 
@@ -35,14 +44,14 @@ def _env_precision() -> int:
     if text is None:
         return 6
     try:
-        return _non_negative_int(text)
+        return _precision(text)
     except argparse.ArgumentTypeError as exc:
         raise errors.InvalidParams(f"LIX_PRECISION: {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--precision", type=_non_negative_int, default=None,
+    common.add_argument("--precision", type=_precision, default=None,
                         help="decimal places for numeric output "
                              "(default LIX_PRECISION, else 6)")
     common.add_argument("--format", choices=["text", "json", "csv"], default=None,
@@ -190,13 +199,16 @@ def _cmd_lix(args, out, err):
             raise errors.EmptyDataset(f"no bar for {wanted} in {args.bars}")
         i = bars.dates.index(wanted)
         bars = bars[i:i + 1]
-    dates, values = [], []
-    for day, value in zip(bars.dates, lix_daily_many(bars)):
-        if isinstance(value, errors.LixError):
-            print(f"warning: {day}: {value}", file=err)
-        else:
-            dates.append(day)
-            values.append(value)
+    results = lix_daily_many(bars)
+    dates, values = bars.dates, results
+    if not {float}.issuperset(map(type, results)):  # some day has no index
+        dates, values = [], []
+        for day, value in zip(bars.dates, results):
+            if isinstance(value, errors.LixError):
+                print(f"warning: {day}: {value}", file=err)
+            else:
+                dates.append(day)
+                values.append(value)
     if len(dates) < len(bars):
         print(f"warning: skipped {len(bars) - len(dates)} day(s) with undefined index",
               file=err)

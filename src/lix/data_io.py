@@ -7,16 +7,20 @@ in file order is reported. A quoted field still open at the end of the file
 is malformed.
 
 Every file is read in two steps. First the whole file is checked in bulk:
-one `csv` pass reads its rows without numbering lines, each column is
-converted at once with Python's own `float`, `int` and
-`date.fromisoformat`, keys are checked for repeats, and the rows go through
-the records' checks (the vectorised `rejects` masks for bars and book
-levels, the constructor for positions). A clean file becomes `Bars`,
+one `csv` pass appends each row's fields to one flat list, numbering no
+lines and keeping no row, so a clean file leaves no per-row container
+behind (and no work for the cyclic garbage collector). Each column is a
+strided slice of that list (`fields[k::width]`), converted at once with
+Python's own `float` (straight into a float64 array), `int` and
+`date.fromisoformat`; keys are checked for repeats over numpy arrays (bar
+dates by ordinal, book rows by timestamp, side and level), and the rows go
+through the records' checks (the vectorised `rejects` masks for bars and
+book levels, the constructor for positions). A clean file becomes `Bars`,
 `Books` or a list of BasketPosition. A file that fails any bulk check is
 read again with line numbers and walked row by row in file order with the
 scalar field checks, the duplicate check and the record constructor, and
 the first fault found is raised with its line; a walk that finds none (the
-file only had blank rows, say) hands its rows back to the bulk step.
+file only had blank rows, say) hands its flat fields back to the bulk step.
 Iterating `Bars` or `Books` yields DailyBar or OrderBookSnapshot records.
 """
 
@@ -25,6 +29,7 @@ from __future__ import annotations
 import csv
 import datetime
 import io
+import itertools
 import math
 import re
 from pathlib import Path
@@ -99,10 +104,12 @@ def _check_header(reader, path, expected_header):
 
 
 def _read_rows(path, expected_header):
-    """(text, rows): the file's text and its data rows after the header.
+    """(text, fields): the file's text and its data rows' fields after the
+    header, row after row in one flat list.
 
-    A clean file is read in one `csv` pass that keeps no line numbers.
-    `rows` is None when the file is not clean: a row is blank or has the
+    A clean file is read in one `csv` pass that keeps no line numbers and
+    no rows: each row's fields are appended to the list as it is read.
+    `fields` is None when the file is not clean: a row is blank or has the
     wrong number of fields, or the CSV is malformed, a quoted field left
     open at the end of the file included. Only then are lines numbered:
     the caller's walk reads the text again with `_numbered_rows`.
@@ -113,18 +120,22 @@ def _read_rows(path, expected_header):
     except UnicodeDecodeError as exc:
         raise errors.ParseError(f"{path}: not valid UTF-8: {exc}") from None
     reader = csv.reader(io.StringIO(text, newline=""), strict=True)
+    width = len(expected_header)
+    fields = []
     try:
         _check_header(reader, path, expected_header)
-        rows = list(reader)
+        for row in reader:
+            if len(row) != width:
+                return text, None
+            fields += row
     except csv.Error:
         return text, None
-    if not {len(expected_header)}.issuperset(map(len, rows)):
-        return text, None
-    return text, rows
+    return text, fields
 
 
 def _numbered_rows(path, text, expected_header):
-    """(lines, rows, fault): every non-blank data row after the header.
+    """(lines, fields, fault): every non-blank data row after the header,
+    its fields flat as `_read_rows` gives them.
 
     `lines[i]` is the physical line row i ends on, so quoted fields
     spanning newlines do not shift later locations. A row with the wrong
@@ -134,7 +145,7 @@ def _numbered_rows(path, text, expected_header):
     """
     path = Path(path)
     reader = csv.reader(io.StringIO(text, newline=""))
-    lines, rows, fault = [], [], None
+    lines, fields, fault = [], [], None
     width = len(expected_header)
     try:
         _check_header(reader, path, expected_header)
@@ -146,19 +157,29 @@ def _numbered_rows(path, text, expected_header):
                                           line=reader.line_num)
                 break
             lines.append(reader.line_num)
-            rows.append(row)
+            fields += row
     except csv.Error as exc:
         fault = errors.ParseError(f"{path}: malformed CSV: {exc}", line=reader.line_num)
     if fault is None and _CLOSED_FIELDS.match(text).end() < len(text):
         if lines and lines[-1] == reader.line_num:  # the open record
-            del lines[-1], rows[-1]
+            del lines[-1], fields[-width:]
         fault = errors.ParseError(f"{path}: malformed CSV: quoted field not closed "
                                   f"at end of file", line=reader.line_num)
-    return lines, rows, fault
+    return lines, fields, fault
 
 
-def _columns(rows, width):
-    return list(zip(*rows)) if rows else [()] * width
+def _rows(fields, width):
+    # The rows of flat fields, as tuples: for the fault walks only.
+    return zip(*[iter(fields)] * width)
+
+
+def _columns(fields, width):
+    return [fields[k::width] for k in range(width)]
+
+
+def _floats(texts, count):
+    # Python's float() of each of `count` texts, straight into a float64 array.
+    return np.fromiter(map(float, texts), dtype=float, count=count)
 
 
 def read_bars(path, instrument_id: str | None = None) -> Bars:
@@ -168,34 +189,38 @@ def read_bars(path, instrument_id: str | None = None) -> Bars:
     row must hold a valid DailyBar.
     """
     instrument = instrument_id or Path(path).stem
-    text, rows = _read_rows(path, BAR_HEADER)
-    columns = None if rows is None else _bar_columns(rows)
+    text, fields = _read_rows(path, BAR_HEADER)
+    columns = None if fields is None else _bar_columns(fields)
     if columns is None:
         columns = _bar_columns(_walk_bars(path, text, instrument))
     days, block = columns
-    order = sorted(range(len(days)), key=days.__getitem__)
-    return Bars(instrument, tuple(days[i] for i in order), *block[:, order])
+    return Bars(instrument, days, *block)
 
 
-def _bar_columns(rows):
-    # (days, block) of the rows, or None when they fail the bulk check.
-    texts = _columns(rows, len(BAR_HEADER))
+def _bar_columns(fields):
+    # (days, block) of the rows in date order, or None when they fail the
+    # bulk check.
+    texts = _columns(fields, len(BAR_HEADER))
+    n = len(texts[0])
     try:
         days = list(map(datetime.date.fromisoformat, map(str.strip, texts[0])))
-        block = np.array([list(map(float, col)) for col in texts[1:]], dtype=float)
+        block = _floats(itertools.chain.from_iterable(texts[1:]), 5 * n).reshape(5, n)
     except ValueError:
         return None
-    if len(set(days)) != len(days) or DailyBar.rejects(*block).any():
+    ordinals = np.fromiter(map(datetime.date.toordinal, days), dtype=np.int64, count=n)
+    order = ordinals.argsort(kind="stable")  # timsort: fast on dates in order
+    ordinals = ordinals[order]
+    if (ordinals[1:] == ordinals[:-1]).any() or DailyBar.rejects(*block).any():
         return None
-    return days, block
+    return tuple(map(days.__getitem__, order.tolist())), block[:, order]
 
 
 def _walk_bars(path, text, instrument):
     # Check the rows one by one in file order and raise the first fault;
-    # return the rows when there is none.
-    lines, rows, fault = _numbered_rows(path, text, BAR_HEADER)
+    # return their fields when there is none.
+    lines, fields, fault = _numbered_rows(path, text, BAR_HEADER)
     seen = {}
-    for line, row in zip(lines, rows):
+    for line, row in zip(lines, _rows(fields, len(BAR_HEADER))):
         day = _date(row[0], line)
         if day in seen:
             raise errors.ParseError(f"duplicate date {day}, first seen at line {seen[day]}",
@@ -208,7 +233,7 @@ def _walk_bars(path, text, instrument):
             raise errors.InvariantViolation(str(exc), line=line) from None
     if fault is not None:
         raise fault
-    return rows
+    return fields
 
 
 def write_daily_bars(bars, path) -> None:
@@ -228,39 +253,51 @@ def read_books(path) -> Books:
     must run contiguously from 1, each level must be a valid BookLevel and
     each book a valid OrderBookSnapshot. Level 1 is the touch price.
     """
-    text, rows = _read_rows(path, BOOK_HEADER)
-    columns = None if rows is None else _book_columns(rows)
+    text, fields = _read_rows(path, BOOK_HEADER)
+    columns = None if fields is None else _book_columns(fields)
     if columns is None:
         columns = _book_columns(_walk_books(path, text))
     return _assemble_books(*columns)
 
 
-def _book_columns(rows):
-    # (ts, stamps, sides, levels, price, volume) of the rows, or None when
-    # they fail the bulk check.
-    texts = _columns(rows, len(BOOK_HEADER))
+def _book_columns(fields):
+    # (ts, first, ask, level, price, volume) of the rows, or None when they
+    # fail the bulk check. Row i's timestamp first appears in row first[i]
+    # (0.0 and -0.0 are one timestamp).
+    texts = _columns(fields, len(BOOK_HEADER))
+    n = len(texts[0])
     sides = list(map(str.upper, map(str.strip, texts[1])))
     try:
         levels = list(map(int, texts[2]))
-        ts, price, volume = np.array([list(map(float, texts[k])) for k in (0, 3, 4)],
-                                     dtype=float)
+        ts, price, volume = (_floats(texts[k], n) for k in (0, 3, 4))
     except ValueError:
         return None
-    stamps = ts.tolist()
-    if not ({"B", "A"}.issuperset(sides) and min(levels, default=1) >= 1
-            and np.isfinite(ts).all()
-            and len(set(zip(stamps, sides, levels))) == len(rows)
-            and not BookLevel.rejects(price, volume).any()):
+    try:
+        level = np.array(levels, dtype=np.int64)
+    except OverflowError:  # a level past int64: keep the exact ints
+        level = np.array(levels, dtype=object)
+    if not ({"B", "A"}.issuperset(sides) and (level >= 1).all()
+            and np.isfinite(ts).all() and not BookLevel.rejects(price, volume).any()):
         return None
-    return ts, stamps, sides, levels, price, volume
+    first_row = {}
+    first = np.fromiter(map(first_row.setdefault, ts.tolist(), range(n)),
+                        dtype=np.intp, count=n)
+    ask = np.fromiter(map("A".__eq__, sides), dtype=bool, count=n)
+    # A (timestamp, side, level) key repeats where neighbours in key order agree.
+    side_key = 2 * first + ask
+    order = np.lexsort((level, side_key))
+    side_key, sorted_level = side_key[order], level[order]
+    if ((side_key[1:] == side_key[:-1]) & (sorted_level[1:] == sorted_level[:-1])).any():
+        return None
+    return ts, first, ask, level, price, volume
 
 
 def _walk_books(path, text):
     # Check the rows one by one in file order and raise the first fault;
-    # return the rows when there is none.
-    lines, rows, fault = _numbered_rows(path, text, BOOK_HEADER)
+    # return their fields when there is none.
+    lines, fields, fault = _numbered_rows(path, text, BOOK_HEADER)
     seen = set()
-    for line, row in zip(lines, rows):
+    for line, row in zip(lines, _rows(fields, len(BOOK_HEADER))):
         ts = _finite_float(row[0], line, "timestamp")
         side = _side(row[1], line)
         level = _level(row[2], line)
@@ -276,29 +313,24 @@ def _walk_books(path, text):
             raise errors.InvariantViolation(str(exc), line=line) from None
     if fault is not None:
         raise fault
-    return rows
+    return fields
 
 
-def _assemble_books(ts, stamps, sides, levels, price, volume) -> Books:
+def _assemble_books(ts, first, ask, level, price, volume) -> Books:
     # Group the checked rows into books sorted by timestamp, then check each
     # book as a whole. Equal timestamps (0.0 and -0.0 too) form one book,
     # named by its first row's spelling.
     n = len(ts)
-    first_row = {}
-    first = np.fromiter(map(first_row.setdefault, stamps, range(n)),
-                        dtype=np.intp, count=n)
     heads = (first == np.arange(n)).nonzero()[0]
     order = np.argsort(ts[heads], kind="stable")
     n_books = len(heads)
     book_of_head = np.empty(n, dtype=np.intp)
     book_of_head[heads[order]] = np.arange(n_books)
     book = book_of_head[first]
-    ask = np.fromiter(map("A".__eq__, sides), dtype=bool, count=n)
     key = 2 * book + ask  # (book, side), bids first
     counts = np.bincount(key, minlength=2 * n_books)
     # A side's distinct levels run 1..count exactly when none exceeds count.
-    level = np.array([min(x, n + 1) for x in levels] if levels and max(levels) > n
-                     else levels, dtype=np.intp)
+    level = np.minimum(level, n + 1).astype(np.intp)
     in_place = level <= counts[key]
     gap_key = int(key[~in_place].min()) if not in_place.all() else 2 * n_books
 
@@ -321,7 +353,7 @@ def _assemble_books(ts, stamps, sides, levels, price, volume) -> Books:
         except errors.InvariantViolation as exc:
             raise errors.InvariantViolation(f"t={books.timestamps[i].item()}: {exc}")
     if gap_key < 2 * n_books:
-        present = {levels[j] for j in (key == gap_key).nonzero()[0].tolist()}
+        present = set(level[key == gap_key].tolist())
         missing = min(set(range(1, int(counts[gap_key]) + 1)) - present)
         raise errors.GapInLevels(f"side {'BA'[gap_key % 2]} at "
                                  f"t={books.timestamps[gap_key // 2].item()}: "
@@ -331,17 +363,17 @@ def _assemble_books(ts, stamps, sides, levels, price, volume) -> Books:
 
 def parse_basket_positions(path) -> list[BasketPosition]:
     """Read `instrument,beta,lix` rows into basket positions."""
-    text, rows = _read_rows(path, POSITION_HEADER)
-    positions = None if rows is None else _positions(rows)
+    text, fields = _read_rows(path, POSITION_HEADER)
+    positions = None if fields is None else _positions(fields)
     if positions is None:
         positions = _positions(_walk_positions(path, text))
     return positions
 
 
-def _positions(rows):
+def _positions(fields):
     # The rows' positions, or None when a value is not a number or a
     # position's own checks (finite, weight > 0) reject it.
-    names, betas, lixes = _columns(rows, len(POSITION_HEADER))
+    names, betas, lixes = _columns(fields, len(POSITION_HEADER))
     try:
         return list(map(BasketPosition, map(str.strip, names),
                         map(float, betas), map(float, lixes)))
@@ -351,9 +383,9 @@ def _positions(rows):
 
 def _walk_positions(path, text):
     # Check the rows one by one in file order and raise the first fault;
-    # return the rows when there is none.
-    lines, rows, fault = _numbered_rows(path, text, POSITION_HEADER)
-    for line, row in zip(lines, rows):
+    # return their fields when there is none.
+    lines, fields, fault = _numbered_rows(path, text, POSITION_HEADER)
+    for line, row in zip(lines, _rows(fields, len(POSITION_HEADER))):
         beta = _finite_float(row[1], line, "beta")
         lix_value = _finite_float(row[2], line, "lix")
         try:
@@ -362,7 +394,7 @@ def _walk_positions(path, text):
             raise errors.InvariantViolation(str(exc), line=line) from None
     if fault is not None:
         raise fault
-    return rows
+    return fields
 
 
 def compute_adv(bars, window_days: int = 20) -> AdvContext:

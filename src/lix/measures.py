@@ -214,10 +214,13 @@ def lix_daily(bar: DailyBar) -> LiquidityIndex:
 
 def lix_daily_many(bars: Bars) -> list:
     """Daily LIX of every bar, in order: the value of lix_daily(bar), or the
-    LixError it raises for that bar."""
+    LixError it raises for that bar. When every bar has an index, every
+    value is a float."""
     with np.errstate(all="ignore"):  # undefined days are rerun one by one
         ratio = _lix_ratio(bars.volume, bars.close, bars.high, bars.low)
     checked = (bars.high != bars.low) & (bars.volume != 0) & (bars.close > 0)
+    if checked.all() and ((ratio > 0) & (ratio < math.inf)).all():
+        return list(map(math.log10, ratio.tolist()))
     out = []
     for i, (x, ok) in enumerate(zip(ratio.tolist(), checked.tolist())):
         try:

@@ -30,6 +30,14 @@ class BasketPosition:
                 f"weight for {self.instrument_id} must be positive, got {self.beta}")
         as_lix_value(self.lix)
 
+    def _reweighted(self, beta: float) -> "BasketPosition":
+        # This position with weight `beta`, which the caller has checked:
+        # the checks above are not run again.
+        position = object.__new__(BasketPosition)
+        position.__dict__.update(instrument_id=self.instrument_id, beta=beta,
+                                 lix=self.lix)
+        return position
+
 
 @dataclass(frozen=True)
 class BasketSpec:
@@ -53,13 +61,13 @@ class BasketSpec:
         except OverflowError:
             raise errors.InvalidParams("weights sum past the float range") from None
         if normalize:
-            for p in positions:
-                if p.beta / total == 0:
-                    raise errors.InvalidParams(
-                        f"weight for {p.instrument_id} ({p.beta}) underflows to 0 "
-                        f"once normalised by the weight sum {total}")
-            positions = tuple(BasketPosition(p.instrument_id, p.beta / total, p.lix)
-                              for p in positions)
+            weights = [p.beta / total for p in positions]
+            if 0.0 in weights:
+                p = positions[weights.index(0.0)]
+                raise errors.InvalidParams(
+                    f"weight for {p.instrument_id} ({p.beta}) underflows to 0 "
+                    f"once normalised by the weight sum {total}")
+            positions = tuple(map(BasketPosition._reweighted, positions, weights))
         elif abs(total - 1.0) > WEIGHT_TOLERANCE:
             raise errors.UnnormalizedWeights(
                 f"weights sum to {total}, expected 1 within {WEIGHT_TOLERANCE}; "

@@ -30,3 +30,17 @@ def test_summary_counts_wins_by_direction_and_ties_for_neither():
     assert wall.startswith("wall_s") and wall.endswith("-50.0%     2/3")
     assert "2 [1.5, 2.5]" in wall  # base median [q1, q3]
     assert rows.startswith("rows_per_s") and rows.endswith("+0.0%     1/3")
+
+
+def test_summary_flags_metrics_worse_than_their_bound():
+    metrics = [{"name": "wall_s", "better": "lower", "bound": 0.25},
+               {"name": "rows_per_s", "better": "higher", "bound": 0.25},
+               {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+               {"name": "setup_s", "better": "lower", "bound": 0.25}]
+    runs = {"base": [_run(wall_s=1.0, rows_per_s=100, peak_rss_mb=50, setup_s=1.0)],
+            "change": [_run(wall_s=1.3, rows_per_s=70, peak_rss_mb=54, setup_s=0.5)]}
+    wall, rows, rss, setup = ab.summarize(metrics, runs)[1:5]
+    assert wall.endswith("+30.0%     0/1  OVER BOUND 25%")
+    assert rows.endswith("-30.0%     0/1  OVER BOUND 25%")
+    assert rss.endswith("+8.0%     0/1")  # worse, but within its bound
+    assert setup.endswith("-50.0%     1/1")  # better by more than the bound

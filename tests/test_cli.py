@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 import warnings
 
 import numpy as np
@@ -547,3 +548,61 @@ class TestOpenQuoteAtEnd:
         text = BARS.replace("-20,50,", '-20,"5"0,')
         code, out, _ = run(["lix", write(tmp_path, "b.csv", text), "--format", "csv"])
         assert (code, out) == (0, "date,lix\n2013-11-20,8.698970\n")
+
+
+# Each subcommand's arguments with valid values for its numeric flags.
+FLAG_BASES = {
+    "lix": (["lix", "BARS"], {}),
+    "lix-intraday": (["lix-intraday"], {
+        "--cum-volume": "1e6", "--last-price": "50", "--high": "51", "--low": "49",
+        "--elapsed": "3600", "--session": "23400", "--alpha": "0.5"}),
+    "lixi": (["lixi", "BOOK", "--adv-from", "ADV"], {"--adv-window": "20",
+                                                      "--alpha": "0.5"}),
+    "cost": (["cost"], {"--shares": "1000", "--price": "50", "--lix": "8",
+                        "--slice-t": "600", "--session": "23400", "--alpha": "0.5"}),
+    "basket": (["basket", "POSITIONS"], {"--etf-lix": "8.5"}),
+    "compare": (["compare", "WEEK"], {"--shares-outstanding": "1e8"}),
+    "calibrate-alpha": (["calibrate-alpha"], {"--paths": "20", "--steps": "20",
+                                              "--seed": "1", "--vol": "0.01"}),
+    "study": (["study"], {"--instruments": "3", "--days": "3", "--seed": "1",
+                          "--snapshots": "5"}),
+}
+FLAG_VALUES = ("nan", "inf", "-inf", "0", "-3", "1e308", "5e-324",
+               "1234567890123456789012345", "x")
+SIZE_FLAGS = ("--paths", "--steps", "--instruments", "--days", "--snapshots")
+WEEK = "date,open,high,low,close,volume\n" + "".join(
+    f"2013-11-{day},50,51,49.5,50,{4000 + day}\n" for day in range(18, 23))
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command, (_, flags) in FLAG_BASES.items()
+    for flag in [*flags, "--precision"]])
+def test_numeric_flag_fuzz_exits_0_with_finite_output_or_2(tmp_path, command, flag):
+    files = {"BARS": write(tmp_path, "bars.csv", BARS),
+             "BOOK": write(tmp_path, "book.csv", BOOK),
+             "ADV": write(tmp_path, "adv.csv", ADV_BARS),
+             "POSITIONS": write(tmp_path, "positions.csv", APPENDIX_B2),
+             "WEEK": write(tmp_path, "week.csv", WEEK)}
+    head, flags = FLAG_BASES[command]
+    flags = {**flags, "--precision": "6"}
+    for value in (None,) + FLAG_VALUES:  # None: every flag at its valid value
+        if flag in SIZE_FLAGS and value and len(value) > 20:  # a huge run
+            continue
+        argv = [files.get(a, a) for a in head]
+        for name, default in flags.items():
+            argv += [name, value if name == flag and value else default]
+        code, out, err = run(argv)
+        assert value or code == 0, (argv, err)
+        assert code in (0, 2), (argv, code, err)
+        if code == 0:
+            assert not re.search("nan|inf", out, re.IGNORECASE), (argv, out)
+        else:
+            assert out == "" and "error:" in err, (argv, out, err)
+
+
+def test_precision_bounded_by_the_last_float_decimal_place(tmp_path):
+    path = write(tmp_path, "b.csv", BARS)
+    code, out, _ = run(["lix", path, "--precision", "1074"])
+    assert code == 0 and out.rstrip("\n").endswith("0" * 1000)
+    code, out, err = run(["lix", path, "--precision", "1075"])
+    assert (code, out) == (2, "") and "at most 1074 decimal places" in err

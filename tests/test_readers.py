@@ -7,6 +7,7 @@ the same records, or raise the same exception class with the same message
 """
 
 import datetime
+import gc
 import io
 
 import numpy as np
@@ -230,9 +231,12 @@ def test_book_reader_matches_row_parser(tmp_path, seed):
     rng = np.random.default_rng([seed, 12])
     path = tmp_path / "book.csv"
     kinds = set()
-    for _ in range(N_FILES):
-        _write_case(rng, path, data_io.BOOK_HEADER, _clean_book_rows, BOOK_FAULTS,
-                    _fault_book)
+    for i in range(N_FILES + 1):
+        if i < N_FILES:
+            _write_case(rng, path, data_io.BOOK_HEADER, _clean_book_rows, BOOK_FAULTS,
+                        _fault_book)
+        else:  # a crossed book, whatever the draws above gave
+            _malformed_book_file(rng, "crossing", path)
         want = _outcome(io_oracle.parse_book_snapshots, path)
         assert _outcome(lambda p: list(read_books(p)), path) == want, path.read_bytes()
         kinds.add(want[0])
@@ -258,6 +262,15 @@ EDGE_CASES = [
     (BOOK, "1,B,1,99,10\n1,B,3,98,10\n0,A,1,100,1\n0,A,2,99,1\n"),  # order before gap
     (BOOK, "0,B,1,99,10\n0,B,3,98,10\n1,A,1,100,1\n1,A,2,99,1\n"),  # gap before order
     (BOOK, "0,A,1,101,10\n0,A,99999999999999999999999,102,10\n"),
+    # Levels past the row count, or past int64, are keys like any other.
+    (BOOK, "0,A,1,101,10\n0,A,7,102,10\n0,A,8,103,10\n"),
+    (BOOK, "0,A,1,101,10\n0,A,99999999999999999999999,102,10\n"
+           "0,A,99999999999999999999998,103,10\n"),
+    (BOOK, "0,A,1,101,10\n0,A,99999999999999999999999,102,10\n"
+           "0,A,99999999999999999999999,103,10\n"),
+    (BOOK, "0,A,1,101,10\n0,A,9223372036854775808,102,10\n"
+           "0,A,9223372036854775809,103,10\n"),
+    (BOOK, "0,A,9223372036854775808,102,10\n0,A,9223372036854775808,103,10\n"),
     (BOOK, "0,B,1,99,10\n0,A,1,101,10\n1,B,2,98,1\n1,A,1,100,1\n"),  # gap on B
     (BOOK, "0,B,1,101,10\n0,A,1,101,10\n0,X,1,1,1\n"),     # row fault before crossing
     (BAR, '2020-01-02,50,51,49,50,1\n2020-01-03,x,51,49,50,"1\n'),  # open quote first
@@ -479,3 +492,30 @@ def test_clean_files_are_read_without_numbering_lines(tmp_path, monkeypatch):
     assert len(read_bars(bar_path)) == BENCH_BARS
     assert len(read_books(book_path)) == BENCH_BOOKS
     assert len(data_io.parse_basket_positions(pos_path)) == 2
+
+
+def _collections_while(read, path):
+    """How many times the cyclic garbage collector runs during read(path)."""
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        read(path)
+    finally:
+        gc.callbacks.remove(count)
+    return len(starts)
+
+
+def test_clean_bench_size_files_leave_the_garbage_collector_idle(tmp_path):
+    # The readers keep no per-row container alive, so reading a clean file
+    # allocates too few tracked objects to start a collection.
+    assert gc.isenabled()
+    bar_path, book_path = tmp_path / "bars.csv", tmp_path / "book.csv"
+    _write_bench_case(bar_path, data_io.BAR_HEADER, _bench_bar_rows(), "clean")
+    _write_bench_case(book_path, data_io.BOOK_HEADER, _bench_book_rows(), "clean")
+    assert _collections_while(read_bars, bar_path) == 0
+    assert _collections_while(read_books, book_path) == 0

@@ -11,7 +11,9 @@ run is a fresh process started in its checkout, so it imports that
 checkout's `src/`. It prints each run's metrics as it ends, then, for each
 end-to-end metric that BENCHMARK.json declares, both sides' median and
 quartiles, the change in the median, and the pairs the change won. A pair
-with equal values is a tie and counts for neither side.
+with equal values is a tie and counts for neither side. A metric whose
+change median is worse than the base median by more than its `bound` (a
+fraction of the base median) is flagged `OVER BOUND`.
 """
 
 from __future__ import annotations
@@ -54,7 +56,8 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def summarize(metrics: list[dict], runs: dict[str, list[dict]]) -> list[str]:
-    """One line per declared metric present in the runs."""
+    """One line per declared metric present in the runs, flagged when the
+    change median is worse than the base's by more than the metric's bound."""
     lines = [f"{'metric':<16}{'base median [q1, q3]':>34}{'change median [q1, q3]':>34}"
              f"{'change':>9}{'wins':>8}"]
     for m in metrics:
@@ -67,9 +70,11 @@ def summarize(metrics: list[dict], runs: dict[str, list[dict]]) -> list[str]:
         wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
         (b1, b2, b3), (c1, c2, c3) = quartiles(base), quartiles(change)
         rel = (c2 - b2) / b2 if b2 else float("nan")
+        over = "bound" in m and -sign * rel > m["bound"]
         lines.append(f"{name:<16}{f'{b2:.4g} [{b1:.4g}, {b3:.4g}]':>34}"
                      f"{f'{c2:.4g} [{c1:.4g}, {c3:.4g}]':>34}{rel:>+9.1%}"
-                     f"{f'{wins}/{len(base)}':>8}")
+                     f"{f'{wins}/{len(base)}':>8}"
+                     + (f"  OVER BOUND {m['bound']:.0%}" if over else ""))
     for side in ("base", "change"):
         failed = sum(r["failed"] for r in runs[side])
         attempted = sum(r["attempted"] for r in runs[side])
