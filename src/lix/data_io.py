@@ -6,21 +6,27 @@ separately from malformed syntax. When a file has several faults, the first
 in file order is reported. A quoted field still open at the end of the file
 is malformed.
 
-Every file is read in two steps. First the whole file is checked in bulk:
-one `csv` pass appends each row's fields to one flat list, numbering no
-lines and keeping no row, so a clean file leaves no per-row container
-behind (and no work for the cyclic garbage collector). Each column is a
-strided slice of that list (`fields[k::width]`), converted at once with
-Python's own `float` (straight into a float64 array), `int` and
-`date.fromisoformat`; keys are checked for repeats over numpy arrays (bar
-dates by ordinal, book rows by timestamp, side and level), and the rows go
-through the records' checks (the vectorised `rejects` masks for bars and
-book levels, the constructor for positions). A clean file becomes `Bars`,
-`Books` or a list of BasketPosition. A file that fails any bulk check is
-read again with line numbers and walked row by row in file order with the
-scalar field checks, the duplicate check and the record constructor, and
-the first fault found is raised with its line; a walk that finds none (the
-file only had blank rows, say) hands its flat fields back to the bulk step.
+Every kind of file is read by one function, `_read(path, header, bulk,
+check_row)`, in two steps. First the whole file is checked in bulk: one
+`csv` pass appends each row's fields to one flat list, numbering no lines
+and keeping no row, so a clean file leaves no per-row container behind (and
+no work for the cyclic garbage collector). The kind's `bulk` step takes
+each column as a strided slice of that list (`fields[k::width]`), converts
+it at once with Python's own `float` (straight into a float64 array), `int`
+and `date.fromisoformat`, checks keys for repeats over numpy arrays (bar
+dates by ordinal, book rows by timestamp, side and level), and puts the
+rows through the records' checks (the vectorised `rejects` masks for bars
+and book levels, the constructor for positions). A clean file becomes
+`Bars`, `Books` or a list of BasketPosition.
+
+A file that is not clean, or fails its bulk step, is read again with line
+numbers and walked in file order: the kind's `check_row(row, line, seen)`
+runs its scalar field checks, its duplicate check (on `seen`, shared by all
+rows) and its record's constructor on each row. A field check's ParseError
+carries its line; a record's own fault is raised as InvariantViolation with
+the line. A structural fault (a row of the wrong width, malformed CSV) is
+raised only when no row before it has a fault. A walk that finds none (the
+file only had blank rows, say) hands its flat fields back to `bulk`.
 Iterating `Bars` or `Books` yields DailyBar or OrderBookSnapshot records.
 """
 
@@ -28,6 +34,7 @@ from __future__ import annotations
 
 import csv
 import datetime
+import functools
 import io
 import itertools
 import math
@@ -112,7 +119,7 @@ def _read_rows(path, expected_header):
     `fields` is None when the file is not clean: a row is blank or has the
     wrong number of fields, or the CSV is malformed, a quoted field left
     open at the end of the file included. Only then are lines numbered:
-    the caller's walk reads the text again with `_numbered_rows`.
+    `_read` then reads the text again with `_numbered_rows`.
     """
     path = Path(path)
     try:
@@ -168,9 +175,27 @@ def _numbered_rows(path, text, expected_header):
     return lines, fields, fault
 
 
-def _rows(fields, width):
-    # The rows of flat fields, as tuples: for the fault walks only.
-    return zip(*[iter(fields)] * width)
+def _read(path, header, bulk, check_row):
+    """What `bulk` makes of the file's flat fields; else the first fault in
+    file order, with its line.
+
+    `bulk(fields)` returns None when the fields fail its check;
+    `check_row(row, line, seen)` raises the row's first fault.
+    """
+    text, fields = _read_rows(path, header)
+    result = None if fields is None else bulk(fields)
+    if result is not None:
+        return result
+    lines, fields, fault = _numbered_rows(path, text, header)
+    seen = {}
+    for line, row in zip(lines, zip(*[iter(fields)] * len(header))):
+        try:
+            check_row(row, line, seen)
+        except (errors.InvariantViolation, errors.InvalidParams) as exc:
+            raise errors.InvariantViolation(str(exc), line=line) from None
+    if fault is not None:
+        raise fault
+    return bulk(fields)
 
 
 def _columns(fields, width):
@@ -189,11 +214,8 @@ def read_bars(path, instrument_id: str | None = None) -> Bars:
     row must hold a valid DailyBar.
     """
     instrument = instrument_id or Path(path).stem
-    text, fields = _read_rows(path, BAR_HEADER)
-    columns = None if fields is None else _bar_columns(fields)
-    if columns is None:
-        columns = _bar_columns(_walk_bars(path, text, instrument))
-    days, block = columns
+    days, block = _read(path, BAR_HEADER, _bar_columns,
+                        functools.partial(_check_bar_row, instrument))
     return Bars(instrument, days, *block)
 
 
@@ -215,25 +237,14 @@ def _bar_columns(fields):
     return tuple(map(days.__getitem__, order.tolist())), block[:, order]
 
 
-def _walk_bars(path, text, instrument):
-    # Check the rows one by one in file order and raise the first fault;
-    # return their fields when there is none.
-    lines, fields, fault = _numbered_rows(path, text, BAR_HEADER)
-    seen = {}
-    for line, row in zip(lines, _rows(fields, len(BAR_HEADER))):
-        day = _date(row[0], line)
-        if day in seen:
-            raise errors.ParseError(f"duplicate date {day}, first seen at line {seen[day]}",
-                                    line=line, column="date")
-        seen[day] = line
-        values = [_finite_float(row[k], line, BAR_HEADER[k]) for k in range(1, 6)]
-        try:
-            DailyBar(instrument, day, *values)
-        except errors.InvariantViolation as exc:
-            raise errors.InvariantViolation(str(exc), line=line) from None
-    if fault is not None:
-        raise fault
-    return fields
+def _check_bar_row(instrument, row, line, seen):
+    day = _date(row[0], line)
+    if day in seen:
+        raise errors.ParseError(f"duplicate date {day}, first seen at line {seen[day]}",
+                                line=line, column="date")
+    seen[day] = line
+    DailyBar(instrument, day,
+             *(_finite_float(row[k], line, BAR_HEADER[k]) for k in range(1, 6)))
 
 
 def write_daily_bars(bars, path) -> None:
@@ -253,11 +264,7 @@ def read_books(path) -> Books:
     must run contiguously from 1, each level must be a valid BookLevel and
     each book a valid OrderBookSnapshot. Level 1 is the touch price.
     """
-    text, fields = _read_rows(path, BOOK_HEADER)
-    columns = None if fields is None else _book_columns(fields)
-    if columns is None:
-        columns = _book_columns(_walk_books(path, text))
-    return _assemble_books(*columns)
+    return _assemble_books(*_read(path, BOOK_HEADER, _book_columns, _check_book_row))
 
 
 def _book_columns(fields):
@@ -292,28 +299,17 @@ def _book_columns(fields):
     return ts, first, ask, level, price, volume
 
 
-def _walk_books(path, text):
-    # Check the rows one by one in file order and raise the first fault;
-    # return their fields when there is none.
-    lines, fields, fault = _numbered_rows(path, text, BOOK_HEADER)
-    seen = set()
-    for line, row in zip(lines, _rows(fields, len(BOOK_HEADER))):
-        ts = _finite_float(row[0], line, "timestamp")
-        side = _side(row[1], line)
-        level = _level(row[2], line)
-        price = _finite_float(row[3], line, "price")
-        volume = _finite_float(row[4], line, "volume")
-        if (ts, side, level) in seen:
-            raise errors.ParseError(f"duplicate level {level} on side {side} at t={ts}",
-                                    line=line)
-        seen.add((ts, side, level))
-        try:
-            BookLevel(price, volume)
-        except errors.InvariantViolation as exc:
-            raise errors.InvariantViolation(str(exc), line=line) from None
-    if fault is not None:
-        raise fault
-    return fields
+def _check_book_row(row, line, seen):
+    ts = _finite_float(row[0], line, "timestamp")
+    side = _side(row[1], line)
+    level = _level(row[2], line)
+    price = _finite_float(row[3], line, "price")
+    volume = _finite_float(row[4], line, "volume")
+    if (ts, side, level) in seen:
+        raise errors.ParseError(f"duplicate level {level} on side {side} at t={ts}",
+                                line=line)
+    seen[ts, side, level] = line
+    BookLevel(price, volume)
 
 
 def _assemble_books(ts, first, ask, level, price, volume) -> Books:
@@ -363,11 +359,7 @@ def _assemble_books(ts, first, ask, level, price, volume) -> Books:
 
 def parse_basket_positions(path) -> list[BasketPosition]:
     """Read `instrument,beta,lix` rows into basket positions."""
-    text, fields = _read_rows(path, POSITION_HEADER)
-    positions = None if fields is None else _positions(fields)
-    if positions is None:
-        positions = _positions(_walk_positions(path, text))
-    return positions
+    return _read(path, POSITION_HEADER, _positions, _check_position_row)
 
 
 def _positions(fields):
@@ -381,20 +373,10 @@ def _positions(fields):
         return None
 
 
-def _walk_positions(path, text):
-    # Check the rows one by one in file order and raise the first fault;
-    # return their fields when there is none.
-    lines, fields, fault = _numbered_rows(path, text, POSITION_HEADER)
-    for line, row in zip(lines, _rows(fields, len(POSITION_HEADER))):
-        beta = _finite_float(row[1], line, "beta")
-        lix_value = _finite_float(row[2], line, "lix")
-        try:
-            BasketPosition(instrument_id=row[0].strip(), beta=beta, lix=lix_value)
-        except errors.InvalidParams as exc:
-            raise errors.InvariantViolation(str(exc), line=line) from None
-    if fault is not None:
-        raise fault
-    return fields
+def _check_position_row(row, line, seen):
+    beta = _finite_float(row[1], line, "beta")
+    lix_value = _finite_float(row[2], line, "lix")
+    BasketPosition(instrument_id=row[0].strip(), beta=beta, lix=lix_value)
 
 
 def compute_adv(bars, window_days: int = 20) -> AdvContext:

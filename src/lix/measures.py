@@ -218,15 +218,14 @@ def lix_daily_many(bars: Bars) -> list:
     value is a float."""
     with np.errstate(all="ignore"):  # undefined days are rerun one by one
         ratio = _lix_ratio(bars.volume, bars.close, bars.high, bars.low)
-    checked = (bars.high != bars.low) & (bars.volume != 0) & (bars.close > 0)
-    if checked.all() and ((ratio > 0) & (ratio < math.inf)).all():
-        return list(map(math.log10, ratio.tolist()))
-    out = []
-    for i, (x, ok) in enumerate(zip(ratio.tolist(), checked.tolist())):
+    undefined = ~((ratio > 0) & (ratio < math.inf))
+    ratio[undefined] = 1.0
+    out = list(map(math.log10, ratio.tolist()))
+    for i in undefined.nonzero()[0].tolist():
         try:
-            out.append(_log10(x) if ok else lix_daily(bars[i]).value)
+            out[i] = lix_daily(bars[i]).value
         except errors.LixError as exc:
-            out.append(exc)
+            out[i] = exc
     return out
 
 

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 _spec = importlib.util.spec_from_file_location(
     "ab", Path(__file__).resolve().parent.parent / "tools" / "ab.py")
 ab = importlib.util.module_from_spec(_spec)
@@ -17,6 +19,16 @@ def _run(**values):
 def test_seed_lists():
     assert ab.parse_seeds("801-803") == [801, 802, 803]
     assert ab.parse_seeds("7,9-10") == [7, 9, 10]
+
+
+@pytest.mark.parametrize("seeds", ["3-1", "5,3-1"])
+def test_descending_seed_range_is_a_usage_error(seeds, capsys):
+    with pytest.raises(ValueError):
+        ab.parse_seeds(seeds)
+    with pytest.raises(SystemExit) as exc:
+        ab.main(["base", "change", "--workload", "files", "--seeds", seeds])
+    assert exc.value.code == 2
+    assert "--seeds" in capsys.readouterr().err
 
 
 def test_summary_counts_wins_by_direction_and_ties_for_neither():

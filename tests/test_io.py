@@ -139,6 +139,33 @@ class TestParseBasketPositions:
             parse_basket_positions(write(tmp_path, "pos.csv", text))
         assert (exc.value.line, exc.value.column) == (4, "beta")
 
+    @pytest.mark.parametrize("rows, error, message", [
+        ("A,1,7\nB,0,8\n", errors.InvariantViolation,
+         "weight for B must be positive, got 0.0 (line 3)"),
+        ("A,1,nan\n", errors.ParseError, "lix is not finite: 'nan' (line 2, column lix)"),
+        ("A,x,7\n", errors.ParseError, "beta is not a number: 'x' (line 2, column beta)"),
+        # The bad weight comes before the short row, so it is the first fault.
+        ("A,0,7\nB,1\n", errors.InvariantViolation,
+         "weight for A must be positive, got 0.0 (line 2)"),
+        ('"A\nclass B",1,7\nC,-1,8\n', errors.InvariantViolation,
+         "weight for C must be positive, got -1.0 (line 4)"),
+    ])
+    def test_first_fault_with_its_line(self, tmp_path, rows, error, message):
+        path = write(tmp_path, "pos.csv", "instrument,beta,lix\n" + rows)
+        with pytest.raises(errors.LixError) as exc:
+            parse_basket_positions(path)
+        assert (type(exc.value), str(exc.value)) == (error, message)
+
+    @pytest.mark.parametrize("rows, clean", [
+        ("\nA,1,7\n\nB,2,8\n\n", "A,1,7\nB,2,8\n"),
+        ('A,"0."5,7\n', "A,0.5,7\n"),
+    ])
+    def test_read_as_the_clean_file(self, tmp_path, rows, clean):
+        got = parse_basket_positions(write(tmp_path, "got.csv", "instrument,beta,lix\n" + rows))
+        want = parse_basket_positions(write(tmp_path, "want.csv",
+                                            "instrument,beta,lix\n" + clean))
+        assert got == want and got
+
 
 class TestComputeAdv:
     def bars(self, volumes):

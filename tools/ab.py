@@ -27,11 +27,15 @@ from pathlib import Path
 
 
 def parse_seeds(text: str) -> list[int]:
-    """`801-810` or `801,805,809` (or a mix) as a list of seeds."""
+    """`801-810` or `801,805,809` (or a mix) as a list of seeds. An empty
+    or descending range (`3-1`) is a ValueError."""
     seeds = []
     for part in text.split(","):
         first, _, last = part.partition("-")
-        seeds += range(int(first), int(last or first) + 1)
+        first, last = int(first), int(last or first)
+        if last < first:
+            raise ValueError(f"descending seed range {part!r}")
+        seeds += range(first, last + 1)
     return seeds
 
 
