@@ -365,10 +365,7 @@ def main(argv=None, out=None, err=None) -> int:
         if args.precision is None:
             args.precision = _env_precision()
         return _COMMANDS[args.command](args, out, err)
-    except errors.LixError as exc:
-        print(f"error: {exc}", file=err)
-        return 2
-    except OSError as exc:
+    except (errors.LixError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 2
     except Exception as exc:  # pragma: no cover - internal failure path

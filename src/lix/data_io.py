@@ -13,11 +13,12 @@ and keeping no row, so a clean file leaves no per-row container behind (and
 no work for the cyclic garbage collector). The kind's `bulk` step takes
 each column as a strided slice of that list (`fields[k::width]`), converts
 it at once with Python's own `float` (straight into a float64 array), `int`
-and `date.fromisoformat`, checks keys for repeats over numpy arrays (bar
-dates by ordinal, book rows by timestamp, side and level), and puts the
-rows through the records' checks (the vectorised `rejects` masks for bars
-and book levels, the constructor for positions). A clean file becomes
-`Bars`, `Books` or a list of BasketPosition.
+and `date.fromisoformat`, orders and groups keys with `np.unique` (bar
+dates by ordinal, book rows by timestamp) and checks them for repeats, and
+puts the rows through the records' checks (the vectorised `rejects` masks
+for bars and book levels, the constructor for positions). A clean file
+becomes `Bars`, `Books` or a list of BasketPosition; a book file whose rows
+pass has its first whole-book fault (a gap, a crossed book) raised there.
 
 A file that is not clean, or fails its bulk step, is read again with line
 numbers and walked in file order: the kind's `check_row(row, line, seen)`
@@ -179,7 +180,9 @@ def _read(path, header, bulk, check_row):
     """What `bulk` makes of the file's flat fields; else the first fault in
     file order, with its line.
 
-    `bulk(fields)` returns None when the fields fail its check;
+    `bulk(fields)` orders and groups keyed rows (bar dates, book
+    timestamps) with `np.unique`. It returns None when the fields fail its
+    check; once they pass, it may raise a whole-book fault.
     `check_row(row, line, seen)` raises the row's first fault.
     """
     text, fields = _read_rows(path, header)
@@ -214,14 +217,12 @@ def read_bars(path, instrument_id: str | None = None) -> Bars:
     row must hold a valid DailyBar.
     """
     instrument = instrument_id or Path(path).stem
-    days, block = _read(path, BAR_HEADER, _bar_columns,
-                        functools.partial(_check_bar_row, instrument))
-    return Bars(instrument, days, *block)
+    return _read(path, BAR_HEADER, functools.partial(_bars, instrument),
+                 functools.partial(_check_bar_row, instrument))
 
 
-def _bar_columns(fields):
-    # (days, block) of the rows in date order, or None when they fail the
-    # bulk check.
+def _bars(instrument, fields):
+    # The rows as Bars in date order, or None when they fail the bulk check.
     texts = _columns(fields, len(BAR_HEADER))
     n = len(texts[0])
     try:
@@ -230,11 +231,10 @@ def _bar_columns(fields):
     except ValueError:
         return None
     ordinals = np.fromiter(map(datetime.date.toordinal, days), dtype=np.int64, count=n)
-    order = ordinals.argsort(kind="stable")  # timsort: fast on dates in order
-    ordinals = ordinals[order]
-    if (ordinals[1:] == ordinals[:-1]).any() or DailyBar.rejects(*block).any():
+    order = np.unique(ordinals, return_index=True)[1]
+    if len(order) < n or DailyBar.rejects(*block).any():
         return None
-    return tuple(map(days.__getitem__, order.tolist())), block[:, order]
+    return Bars(instrument, tuple(map(days.__getitem__, order.tolist())), *block[:, order])
 
 
 def _check_bar_row(instrument, row, line, seen):
@@ -264,13 +264,14 @@ def read_books(path) -> Books:
     must run contiguously from 1, each level must be a valid BookLevel and
     each book a valid OrderBookSnapshot. Level 1 is the touch price.
     """
-    return _assemble_books(*_read(path, BOOK_HEADER, _book_columns, _check_book_row))
+    return _read(path, BOOK_HEADER, _books, _check_book_row)
 
 
-def _book_columns(fields):
-    # (ts, first, ask, level, price, volume) of the rows, or None when they
-    # fail the bulk check. Row i's timestamp first appears in row first[i]
-    # (0.0 and -0.0 are one timestamp).
+def _books(fields):
+    # The rows as Books sorted by timestamp, or None when they fail the bulk
+    # check; once they pass, the first book that is not whole raises its
+    # fault. Equal timestamps (0.0 and -0.0 too) form one book, named by its
+    # first row's spelling: with return_index, np.unique sorts stably.
     texts = _columns(fields, len(BOOK_HEADER))
     n = len(texts[0])
     sides = list(map(str.upper, map(str.strip, texts[1])))
@@ -286,44 +287,17 @@ def _book_columns(fields):
     if not ({"B", "A"}.issuperset(sides) and (level >= 1).all()
             and np.isfinite(ts).all() and not BookLevel.rejects(price, volume).any()):
         return None
-    first_row = {}
-    first = np.fromiter(map(first_row.setdefault, ts.tolist(), range(n)),
-                        dtype=np.intp, count=n)
     ask = np.fromiter(map("A".__eq__, sides), dtype=bool, count=n)
-    # A (timestamp, side, level) key repeats where neighbours in key order agree.
-    side_key = 2 * first + ask
-    order = np.lexsort((level, side_key))
-    side_key, sorted_level = side_key[order], level[order]
-    if ((side_key[1:] == side_key[:-1]) & (sorted_level[1:] == sorted_level[:-1])).any():
-        return None
-    return ts, first, ask, level, price, volume
-
-
-def _check_book_row(row, line, seen):
-    ts = _finite_float(row[0], line, "timestamp")
-    side = _side(row[1], line)
-    level = _level(row[2], line)
-    price = _finite_float(row[3], line, "price")
-    volume = _finite_float(row[4], line, "volume")
-    if (ts, side, level) in seen:
-        raise errors.ParseError(f"duplicate level {level} on side {side} at t={ts}",
-                                line=line)
-    seen[ts, side, level] = line
-    BookLevel(price, volume)
-
-
-def _assemble_books(ts, first, ask, level, price, volume) -> Books:
-    # Group the checked rows into books sorted by timestamp, then check each
-    # book as a whole. Equal timestamps (0.0 and -0.0 too) form one book,
-    # named by its first row's spelling.
-    n = len(ts)
-    heads = (first == np.arange(n)).nonzero()[0]
-    order = np.argsort(ts[heads], kind="stable")
-    n_books = len(heads)
-    book_of_head = np.empty(n, dtype=np.intp)
-    book_of_head[heads[order]] = np.arange(n_books)
-    book = book_of_head[first]
+    del texts, sides, levels  # freed before the books are built: a lower peak
+    times, _, book = np.unique(ts, return_index=True, return_inverse=True)
     key = 2 * book + ask  # (book, side), bids first
+    # A (timestamp, side, level) key repeats where neighbours in key order agree.
+    order = np.lexsort((level, key))
+    sorted_key, sorted_level = key[order], level[order]
+    if ((sorted_key[1:] == sorted_key[:-1]) & (sorted_level[1:] == sorted_level[:-1])).any():
+        return None
+
+    n_books = len(times)
     counts = np.bincount(key, minlength=2 * n_books)
     # A side's distinct levels run 1..count exactly when none exceeds count.
     level = np.minimum(level, n + 1).astype(np.intp)
@@ -337,7 +311,7 @@ def _assemble_books(ts, first, ask, level, price, volume) -> Books:
         flat = np.zeros(2 * n_books * depth)
         flat[cells] = values[in_place]
         arrays.append(flat.reshape(n_books, 2, depth))
-    books = Books(ts[heads[order]], *arrays)
+    books = Books(times, *arrays)
 
     # Books before the first gap are whole; the first broken one's
     # constructor names the fault.
@@ -355,6 +329,19 @@ def _assemble_books(ts, first, ask, level, price, volume) -> Books:
                                  f"t={books.timestamps[gap_key // 2].item()}: "
                                  f"missing level {missing}")
     return books
+
+
+def _check_book_row(row, line, seen):
+    ts = _finite_float(row[0], line, "timestamp")
+    side = _side(row[1], line)
+    level = _level(row[2], line)
+    price = _finite_float(row[3], line, "price")
+    volume = _finite_float(row[4], line, "volume")
+    if (ts, side, level) in seen:
+        raise errors.ParseError(f"duplicate level {level} on side {side} at t={ts}",
+                                line=line)
+    seen[ts, side, level] = line
+    BookLevel(price, volume)
 
 
 def parse_basket_positions(path) -> list[BasketPosition]:

@@ -111,15 +111,26 @@ def _walk(model: PathModel, rng: np.random.Generator, start_price: float,
     return out
 
 
+def _walk_buffer(model: PathModel, rows: int, steps: int) -> np.ndarray:
+    """An uninitialised (rows, steps) float array; InvalidParams naming
+    steps_per_day when numpy cannot allocate it."""
+    try:
+        return np.empty((rows, steps))
+    except (ValueError, MemoryError):
+        raise errors.InvalidParams(
+            f"cannot allocate a walk of {rows} paths x {steps} steps "
+            f"(steps_per_day {model.steps_per_day})") from None
+
+
 def simulate_paths(model: PathModel, n_paths: int, seed: int | None = None,
                    start_price: float = 100.0, stream: int = 0) -> np.ndarray:
     """(n_paths, steps + 1) price paths including the starting price."""
     s = model.seed if seed is None else seed
     rng = np.random.default_rng(np.random.SeedSequence([s, stream]))
-    out = np.empty((n_paths, model.steps_per_day + 1))
+    out = _walk_buffer(model, n_paths, model.steps_per_day + 1)
     out[:, 0] = start_price
     out[:, 1:] = _walk(model, rng, start_price,
-                       np.empty((n_paths, model.steps_per_day)))
+                       _walk_buffer(model, n_paths, model.steps_per_day))
     return out
 
 
@@ -156,8 +167,9 @@ def estimate_alpha(model: PathModel, n_paths: int, time_grid) -> AlphaEstimate:
     included) is averaged across paths, and alpha_hat is the slope of
     log10(mean range) on log10(k / steps). Fractions that round to the same
     step are rejected. The requested fractions are echoed in `time_grid`.
-    A mean range that is not finite (the prices overflow) raises
-    InvalidParams, with no numpy warning.
+    A mean range that is not finite (the prices overflow), or a walk
+    buffer too large to allocate, raises InvalidParams, with no numpy
+    warning.
 
     Deterministic given (model.seed, n_paths, grid): paths are generated in
     fixed-size chunks with per-chunk seed streams.
@@ -186,7 +198,7 @@ def estimate_alpha(model: PathModel, n_paths: int, time_grid) -> AlphaEstimate:
     blocks = np.concatenate(([0], cols[:-1]))
     start_price = 100.0
     block_paths = max(1, _BLOCK_BYTES // (8 * steps))
-    buf = np.empty((min(block_paths, n_paths), steps))
+    buf = _walk_buffer(model, min(block_paths, n_paths), steps)
     sums = np.zeros(len(grid))
     done = 0
     chunk_index = 0

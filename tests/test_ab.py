@@ -56,3 +56,21 @@ def test_summary_flags_metrics_worse_than_their_bound():
     assert rows.endswith("-30.0%     0/1  OVER BOUND 25%")
     assert rss.endswith("+8.0%     0/1")  # worse, but within its bound
     assert setup.endswith("-50.0%     1/1")  # better by more than the bound
+
+
+def test_summary_flags_metrics_whose_base_spread_exceeds_their_bound():
+    metrics = [{"name": "wall_s", "better": "lower", "bound": 0.25},
+               {"name": "rows_per_s", "better": "higher", "bound": 0.25},
+               {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
+    # wall_s: base quartiles [1.1, 1.6] around 1.2, a spread of 42%; the
+    # change wins every pair, but its slowest run is slower than the base's
+    # fastest. rows_per_s spreads as widely, but every change run beats
+    # every base run. peak_rss_mb spreads 2%.
+    runs = {"base": [_run(wall_s=w, rows_per_s=r, peak_rss_mb=p)
+                     for w, r, p in ((1.0, 100, 50), (1.2, 120, 51), (2.0, 200, 52))],
+            "change": [_run(wall_s=w, rows_per_s=r, peak_rss_mb=p)
+                       for w, r, p in ((0.9, 210, 50), (1.1, 220, 51), (1.3, 230, 52))]}
+    wall, rows, rss = ab.summarize(metrics, runs)[1:4]
+    assert wall.endswith("-8.3%     3/3  UNRESOLVED: base spread over 25%")
+    assert rows.endswith("+83.3%     3/3")
+    assert rss.endswith("+0.0%     0/3")

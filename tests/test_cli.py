@@ -421,6 +421,12 @@ class TestCalibrateCommand:
         assert (code, out) == (2, "")
         assert "repeated steps" in err
 
+    def test_unallocatable_walk_rejected(self):
+        # 2**61 float64 steps are 2**64 bytes: numpy refuses before allocating
+        code, out, err = run(["calibrate-alpha", "--steps", str(2 ** 61), "--paths", "1"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "steps_per_day" in err
+
     ARGV = ["calibrate-alpha", "--paths", "200", "--steps", "100",
             "--grid", "0.5,1.0"]
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import io_oracle
-from lix import data_io, errors, read_bars, read_books
+from lix import Books, data_io, errors, read_bars, read_books
 from lix.cli import main
 
 N_FILES = 300
@@ -304,6 +304,12 @@ def test_readers_return_columns_of_the_records(tmp_path):
                    for c in (bars.open, bars.high, bars.low, bars.close, bars.volume))
         depth = books.price.shape[2]
         assert books.price.shape == books.volume.shape == (len(books), 2, depth)
+        # The same arrays, bit for bit (the sign of a zero too), as the
+        # records' own layout.
+        records = Books.of(list(books))
+        for name in ("timestamps", "price", "volume"):
+            got, want = getattr(books, name), getattr(records, name)
+            assert (got.shape, got.tobytes()) == (want.shape, want.tobytes()), name
 
 
 def _malformed_book_file(rng, kind, path):

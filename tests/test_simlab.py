@@ -219,6 +219,14 @@ class TestEstimateAlpha:
         with pytest.raises(errors.ZeroRange):
             estimate_alpha(model, 100, GRID)
 
+    def test_unallocatable_walk_raises(self):
+        # 2**61 float64 steps are 2**64 bytes: numpy refuses before allocating
+        model = dataclasses.replace(RW, steps_per_day=2 ** 61)
+        with pytest.raises(errors.InvalidParams, match="steps_per_day"):
+            estimate_alpha(model, 1, GRID)
+        with pytest.raises(errors.InvalidParams, match="steps_per_day"):
+            simulate_paths(model, 1)
+
 
 class TestPathModelValidation:
     def test_steps_minimum(self):

@@ -13,7 +13,10 @@ end-to-end metric that BENCHMARK.json declares, both sides' median and
 quartiles, the change in the median, and the pairs the change won. A pair
 with equal values is a tie and counts for neither side. A metric whose
 change median is worse than the base median by more than its `bound` (a
-fraction of the base median) is flagged `OVER BOUND`.
+fraction of the base median) is flagged `OVER BOUND`. A metric whose base
+runs spread wider than its bound (quartile distance over `bound` times the
+base median) is flagged `UNRESOLVED`, unless every change run beats every
+base run: that spread cannot tell a change within the bound from one past it.
 """
 
 from __future__ import annotations
@@ -61,7 +64,9 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 def summarize(metrics: list[dict], runs: dict[str, list[dict]]) -> list[str]:
     """One line per declared metric present in the runs, flagged when the
-    change median is worse than the base's by more than the metric's bound."""
+    change median is worse than the base's by more than the metric's bound,
+    or when the base's quartile distance exceeds the bound, unless every
+    change run beats every base run."""
     lines = [f"{'metric':<16}{'base median [q1, q3]':>34}{'change median [q1, q3]':>34}"
              f"{'change':>9}{'wins':>8}"]
     for m in metrics:
@@ -74,11 +79,16 @@ def summarize(metrics: list[dict], runs: dict[str, list[dict]]) -> list[str]:
         wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
         (b1, b2, b3), (c1, c2, c3) = quartiles(base), quartiles(change)
         rel = (c2 - b2) / b2 if b2 else float("nan")
-        over = "bound" in m and -sign * rel > m["bound"]
+        flags = ""
+        if "bound" in m:
+            if -sign * rel > m["bound"]:
+                flags += f"  OVER BOUND {m['bound']:.0%}"
+            beats_all = min(sign * c for c in change) > max(sign * b for b in base)
+            if b3 - b1 > m["bound"] * abs(b2) and not beats_all:
+                flags += f"  UNRESOLVED: base spread over {m['bound']:.0%}"
         lines.append(f"{name:<16}{f'{b2:.4g} [{b1:.4g}, {b3:.4g}]':>34}"
                      f"{f'{c2:.4g} [{c1:.4g}, {c3:.4g}]':>34}{rel:>+9.1%}"
-                     f"{f'{wins}/{len(base)}':>8}"
-                     + (f"  OVER BOUND {m['bound']:.0%}" if over else ""))
+                     f"{f'{wins}/{len(base)}':>8}{flags}")
     for side in ("base", "change"):
         failed = sum(r["failed"] for r in runs[side])
         attempted = sum(r["attempted"] for r in runs[side])
