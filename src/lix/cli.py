@@ -5,6 +5,11 @@ output uses 6 decimal places by default (`--precision`, or the
 LIX_PRECISION environment variable). `--format json|csv` switches from the
 human-readable table to machine output (default json for `calibrate-alpha`
 and `study`). JSON is a list from `lix`, `lixi` and `compare`, else an object.
+
+Each call builds its argparse parser afresh, and keeps no parser between
+calls. When argv[0] names a command, only that command's subparser is built
+(see `build_parser`); any other argv gets the parser with every command, so
+help and usage errors read as they always have.
 """
 
 from __future__ import annotations
@@ -49,26 +54,21 @@ def _env_precision() -> int:
         raise errors.InvalidParams(f"LIX_PRECISION: {exc}") from None
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--precision", type=_precision, default=None,
-                        help="decimal places for numeric output "
-                             "(default LIX_PRECISION, else 6)")
-    common.add_argument("--format", choices=["text", "json", "csv"], default=None,
-                        help="output format (default text; json for "
-                             "calibrate-alpha and study)")
+def _add_output_options(s):
+    s.add_argument("--precision", type=_precision, default=None,
+                   help="decimal places for numeric output "
+                        "(default LIX_PRECISION, else 6)")
+    s.add_argument("--format", choices=["text", "json", "csv"], default=None,
+                   help="output format (default text; json for "
+                        "calibrate-alpha and study)")
 
-    p = argparse.ArgumentParser(prog="lix",
-                                description="Liquidity index toolkit")
-    sub = p.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("lix", parents=[common],
-                       help="daily liquidity index from a bar file")
+def _lix_arguments(s):
     s.add_argument("bars", help="CSV: date,open,high,low,close,volume")
     s.add_argument("--date", help="single ISO date to evaluate (default every day)")
 
-    s = sub.add_parser("lix-intraday", parents=[common],
-                       help="intraday index, raw and scaled to the daily horizon")
+
+def _lix_intraday_arguments(s):
     s.add_argument("--cum-volume", type=float, required=True)
     s.add_argument("--last-price", type=float, required=True)
     s.add_argument("--high", type=float, required=True)
@@ -79,8 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="session length in seconds")
     s.add_argument("--alpha", type=float, default=0.5)
 
-    s = sub.add_parser("lixi", parents=[common],
-                       help="instantaneous index from book snapshots")
+
+def _lixi_arguments(s):
     s.add_argument("snapshots", help="CSV: timestamp,side,level,price,volume")
     s.add_argument("--adv-from", required=True, metavar="BARS",
                    help="bar CSV used to compute average daily volume")
@@ -89,8 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--decompose", action="store_true",
                    help="also print the spread/depth/ADV term split (alpha=1/2)")
 
-    s = sub.add_parser("cost", parents=[common],
-                       help="execution-cost estimates implied by an index value")
+
+def _cost_arguments(s):
     s.add_argument("--shares", type=float, required=True)
     s.add_argument("--price", type=float, required=True)
     s.add_argument("--lix", type=float, required=True)
@@ -99,21 +99,21 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--session", type=float, required=True)
     s.add_argument("--alpha", type=float, default=0.5)
 
-    s = sub.add_parser("basket", parents=[common],
-                       help="basket liquidity from a positions file")
+
+def _basket_arguments(s):
     s.add_argument("positions", help="CSV: instrument,beta,lix")
     s.add_argument("--etf-lix", type=float, default=None,
                    help="ETF-share liquidity leg")
     s.add_argument("--strict", action="store_true",
                    help="reject weights not summing to 1 instead of normalizing")
 
-    s = sub.add_parser("compare", parents=[common],
-                       help="daily index vs Hui-Heubel vs Amihud")
+
+def _compare_arguments(s):
     s.add_argument("bars")
     s.add_argument("--shares-outstanding", type=float, required=True)
 
-    s = sub.add_parser("calibrate-alpha", parents=[common],
-                       help="Monte Carlo estimate of the range-scaling exponent")
+
+def _calibrate_alpha_arguments(s):
     s.add_argument("--model", default="rw",
                    help="rw | gauss | t:<dof>")
     s.add_argument("--paths", type=int, default=100000)
@@ -125,14 +125,38 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--grid", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0",
                    help="comma-separated session fractions")
 
-    s = sub.add_parser("study", parents=[common],
-                       help="snapshot-vs-daily liquidity regression on synthetic data")
+
+def _study_arguments(s):
     s.add_argument("--instruments", type=int, default=50)
     s.add_argument("--days", type=int, default=20)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--snapshots", type=int, default=100)
     s.add_argument("--points-csv", default=None,
                    help="write per-instrument points to this CSV file")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `lix` parser with every subcommand, or with `command`'s only.
+
+    `main` asks for one command's parser when argv[0] names it, since
+    argparse can then pick no other; building one subparser instead of
+    eight is most of the cost of a short call. That parser still lists
+    every command in its usage line, which argparse prints on an
+    unrecognized argument. The full parser leaves the metavar unset, as
+    argparse names the missing command by it.
+    """
+    p = argparse.ArgumentParser(prog="lix",
+                                description="Liquidity index toolkit")
+    if command is None:
+        sub = p.add_subparsers(dest="command", required=True)
+    else:
+        sub = p.add_subparsers(dest="command", required=True,
+                               metavar="{" + ",".join(_COMMANDS) + "}")
+    for name in _COMMANDS if command is None else [command]:
+        help_text, add_arguments, _ = _COMMANDS[name]
+        s = sub.add_parser(name, help=help_text)
+        _add_output_options(s)
+        add_arguments(s)
     return p
 
 
@@ -338,22 +362,32 @@ def _cmd_study(args, out, err):
     return 0
 
 
+# name -> (help, argument adder, handler), in the order `lix -h` lists them.
 _COMMANDS = {
-    "lix": _cmd_lix,
-    "lix-intraday": _cmd_lix_intraday,
-    "lixi": _cmd_lixi,
-    "cost": _cmd_cost,
-    "basket": _cmd_basket,
-    "compare": _cmd_compare,
-    "calibrate-alpha": _cmd_calibrate_alpha,
-    "study": _cmd_study,
+    "lix": ("daily liquidity index from a bar file",
+            _lix_arguments, _cmd_lix),
+    "lix-intraday": ("intraday index, raw and scaled to the daily horizon",
+                     _lix_intraday_arguments, _cmd_lix_intraday),
+    "lixi": ("instantaneous index from book snapshots",
+             _lixi_arguments, _cmd_lixi),
+    "cost": ("execution-cost estimates implied by an index value",
+             _cost_arguments, _cmd_cost),
+    "basket": ("basket liquidity from a positions file",
+               _basket_arguments, _cmd_basket),
+    "compare": ("daily index vs Hui-Heubel vs Amihud",
+                _compare_arguments, _cmd_compare),
+    "calibrate-alpha": ("Monte Carlo estimate of the range-scaling exponent",
+                        _calibrate_alpha_arguments, _cmd_calibrate_alpha),
+    "study": ("snapshot-vs-daily liquidity regression on synthetic data",
+              _study_arguments, _cmd_study),
 }
 
 
 def main(argv=None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             args = parser.parse_args(argv)
@@ -364,7 +398,7 @@ def main(argv=None, out=None, err=None) -> int:
     try:
         if args.precision is None:
             args.precision = _env_precision()
-        return _COMMANDS[args.command](args, out, err)
+        return _COMMANDS[args.command][2](args, out, err)
     except (errors.LixError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 2

@@ -314,14 +314,10 @@ def _books(fields):
     books = Books(times, *arrays)
 
     # Books before the first gap are whole; the first broken one's
-    # constructor names the fault.
+    # constructor raises the fault, with its timestamp.
     broken = OrderBookSnapshot.rejects(*arrays)
     if broken.any() and broken.argmax() < gap_key // 2:
-        i = int(broken.argmax())
-        try:
-            books[i]
-        except errors.InvariantViolation as exc:
-            raise errors.InvariantViolation(f"t={books.timestamps[i].item()}: {exc}")
+        books[int(broken.argmax())]
     if gap_key < 2 * n_books:
         present = set(level[key == gap_key].tolist())
         missing = min(set(range(1, int(counts[gap_key]) + 1)) - present)

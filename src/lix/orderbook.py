@@ -201,14 +201,15 @@ def _book_terms(books: Books):
         undefined = (bid_volume == 0) | (ask_volume == 0) | (vwap_ask <= vwap_bid)
     faults = {}
     for i in undefined.nonzero()[0].tolist():
+        at = f"(t={books.timestamps[i].item()})"
         if bid_volume[i] == 0:
-            faults[i] = errors.EmptySide("bid side is empty")
+            faults[i] = errors.EmptySide(f"bid side is empty {at}")
         elif ask_volume[i] == 0:
-            faults[i] = errors.EmptySide("ask side is empty")
+            faults[i] = errors.EmptySide(f"ask side is empty {at}")
         else:
             faults[i] = errors.CrossedBook(
                 f"ask-side VWAP {vwap_ask[i].item()} <= bid-side VWAP "
-                f"{vwap_bid[i].item()} (t={books.timestamps[i].item()})")
+                f"{vwap_bid[i].item()} {at}")
     return gap, mid, volume, faults
 
 

@@ -166,9 +166,6 @@ def parse_book_snapshots(path) -> list[OrderBookSnapshot]:
                 raise errors.GapInLevels(
                     f"side {side} at t={ts}: missing level {missing}")
             sides[side] = tuple(levels[k] for k in sorted(levels))
-        try:
-            snapshots.append(OrderBookSnapshot(timestamp=ts, bids=sides["B"],
-                                               asks=sides["A"]))
-        except errors.InvariantViolation as exc:
-            raise errors.InvariantViolation(f"t={ts}: {exc}")
+        snapshots.append(OrderBookSnapshot(timestamp=ts, bids=sides["B"],
+                                           asks=sides["A"]))
     return snapshots

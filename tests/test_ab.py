@@ -74,3 +74,15 @@ def test_summary_flags_metrics_whose_base_spread_exceeds_their_bound():
     assert wall.endswith("-8.3%     3/3  UNRESOLVED: base spread over 25%")
     assert rows.endswith("+83.3%     3/3")
     assert rss.endswith("+0.0%     0/3")
+
+
+def test_summary_flags_a_larger_share_of_failed_operations():
+    metrics = [{"name": "wall_s", "better": "lower", "bound": 0.25}]
+    base = [{**_run(wall_s=1.0), "failed": 1, "attempted": 100}]
+    for failed, attempted, flagged in ((1, 100, False), (1, 200, False), (2, 100, True),
+                                       (1, 50, True)):
+        change = [{**_run(wall_s=1.0), "failed": failed, "attempted": attempted}]
+        lines = ab.summarize(metrics, {"base": base, "change": change})
+        assert lines[-2] == "base: 1 of 100 operations failed"
+        assert lines[-1] == (f"change: {failed} of {attempted} operations failed"
+                             + ("  MORE FAILED" if flagged else ""))

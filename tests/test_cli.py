@@ -1,13 +1,15 @@
+import contextlib
 import csv
 import io
 import json
 import re
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from lix.cli import main
+from lix.cli import build_parser, main
 
 BARS = """date,open,high,low,close,volume
 2013-11-20,50,51,50,50,10000000
@@ -168,6 +170,17 @@ class TestLixiCommand:
                           "--adv-from", write(tmp_path, "adv.csv", ADV_BARS)] + flags)
         assert result == (2, "", f"error: {shown}\n")
         assert caught == []
+
+    @pytest.mark.parametrize("rows, shown", [
+        ("0,A,1,101,10\n1,B,1,99,10\n1,A,1,101,10\n", "bid side is empty (t=0.0)"),
+        ("0,B,1,99,10\n0,B,2,100,10\n0,A,1,101,10\n",
+         "bid prices not strictly descending at level 2 (t=0.0)"),
+    ], ids=["one-sided", "unordered"])
+    def test_undefined_book_named_by_its_timestamp_once(self, tmp_path, rows, shown):
+        book = "timestamp,side,level,price,volume\n" + rows
+        assert run(["lixi", write(tmp_path, "book.csv", book),
+                     "--adv-from", write(tmp_path, "adv.csv", ADV_BARS)]) == (
+            2, "", f"error: {shown}\n")
 
     def test_books_of_unequal_depth(self, tmp_path):
         book = ("timestamp,side,level,price,volume\n"
@@ -478,6 +491,11 @@ class TestDispatch:
     def test_help_exits_zero(self):
         assert run(["--help"])[0] == 0
 
+    def test_missing_command_named(self):
+        code, out, err = run([])
+        assert (code, out) == (2, "")
+        assert err.endswith("error: the following arguments are required: command\n")
+
     @pytest.mark.parametrize("argv", [["lix"], ["frobnicate"], ["cost", "--bogus", "1"]])
     def test_usage_error_goes_to_the_given_stream(self, capsys, argv):
         code, out, err = run(argv)
@@ -612,3 +630,41 @@ def test_precision_bounded_by_the_last_float_decimal_place(tmp_path):
     assert code == 0 and out.rstrip("\n").endswith("0" * 1000)
     code, out, err = run(["lix", path, "--precision", "1075"])
     assert (code, out) == (2, "") and "at most 1074 decimal places" in err
+
+
+def _parse(parser, argv):
+    """(exit code, stdout, stderr, parsed arguments) of one parse_args call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args, code = vars(parser.parse_args(argv)), 0
+        except SystemExit as exc:
+            args, code = None, exc.code
+    return code, out.getvalue(), err.getvalue(), args
+
+
+@pytest.mark.parametrize("columns", [None, "40", "200"])
+@pytest.mark.parametrize("command", FLAG_BASES)
+def test_one_command_parser_parses_as_the_full_one(monkeypatch, command, columns):
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    head, flags = FLAG_BASES[command]
+    given = head[1:] + [a for pair in flags.items() for a in pair]
+    shapes = [["-h"], given + ["--bogus"], given + ["extra"], [],
+              given + ["--precision", "x"], given + ["--format", "xml"],
+              given + ["--prec", "2"], ["--"] + given, ["--precision", "2"] + given]
+    for shape in shapes:
+        argv = [command] + shape
+        assert _parse(build_parser(command), argv) == _parse(build_parser(), argv), argv
+
+
+def test_argv_may_be_any_iterable_or_default_to_sys_argv(tmp_path, monkeypatch):
+    path = write(tmp_path, "b.csv", BARS)
+    want = run(["lix", path])
+    assert want[0] == 0
+    assert run(("lix", path)) == want
+    assert run(iter(["lix", path])) == want
+    monkeypatch.setattr(sys, "argv", ["lix", "lix", path])
+    assert run(None) == want

@@ -209,7 +209,8 @@ class TestBooksKernel:
                  make_book([(100, 1000)], [(100.5, 1)])]
         got = lixi_many(Books.of(snaps), AdvContext(10))
         assert [(type(v).__name__, str(v)) for v in got[1:4]] == [
-            ("EmptySide", "ask side is empty"), ("EmptySide", "bid side is empty"),
+            ("EmptySide", "ask side is empty (t=0.0)"),
+            ("EmptySide", "bid side is empty (t=0.0)"),
             ("CrossedBook", "ask-side VWAP 0.0 <= bid-side VWAP 0.0 (t=3.0)")]
         assert got[0] == lixi(snaps[0], AdvContext(10)).value
         assert got[4] == lixi(snaps[4], AdvContext(10)).value

@@ -17,6 +17,8 @@ fraction of the base median) is flagged `OVER BOUND`. A metric whose base
 runs spread wider than its bound (quartile distance over `bound` times the
 base median) is flagged `UNRESOLVED`, unless every change run beats every
 base run: that spread cannot tell a change within the bound from one past it.
+The last two lines count each side's failed operations; the change's is
+flagged `MORE FAILED` when a larger share of its operations failed.
 """
 
 from __future__ import annotations
@@ -66,7 +68,8 @@ def summarize(metrics: list[dict], runs: dict[str, list[dict]]) -> list[str]:
     """One line per declared metric present in the runs, flagged when the
     change median is worse than the base's by more than the metric's bound,
     or when the base's quartile distance exceeds the bound, unless every
-    change run beats every base run."""
+    change run beats every base run; then each side's failed operations,
+    the change's flagged when a larger share of them failed."""
     lines = [f"{'metric':<16}{'base median [q1, q3]':>34}{'change median [q1, q3]':>34}"
              f"{'change':>9}{'wins':>8}"]
     for m in metrics:
@@ -89,10 +92,13 @@ def summarize(metrics: list[dict], runs: dict[str, list[dict]]) -> list[str]:
         lines.append(f"{name:<16}{f'{b2:.4g} [{b1:.4g}, {b3:.4g}]':>34}"
                      f"{f'{c2:.4g} [{c1:.4g}, {c3:.4g}]':>34}{rel:>+9.1%}"
                      f"{f'{wins}/{len(base)}':>8}{flags}")
+    share = {}
     for side in ("base", "change"):
         failed = sum(r["failed"] for r in runs[side])
         attempted = sum(r["attempted"] for r in runs[side])
-        lines.append(f"{side}: {failed} of {attempted} operations failed")
+        share[side] = failed / attempted if attempted else 0.0
+        flag = "  MORE FAILED" if side == "change" and share["change"] > share["base"] else ""
+        lines.append(f"{side}: {failed} of {attempted} operations failed{flag}")
     return lines
 
 
