@@ -50,6 +50,18 @@ CCC,0.2,5.75
 DDD,0.15,9.125
 """
 
+# Signed zeros and indices far outside [5, 10]: 10^400 overflows a float,
+# so the algebra must rescale before it sums.
+EXTREME_POSITIONS = """instrument,beta,lix
+ZPOS,0.1,0.0
+ZNEG,0.2,-0.0
+HIGH,0.3,400
+LOW,0.4,-400
+"""
+
+COST = ["--shares", "50000", "--price", "25.5", "--lix", "7.25", "--slice-t", "600",
+        "--session", "23400"]
+
 COMMANDS = {
     "lix": ["lix", "{dir}/bars.csv"],
     "lix_date": ["lix", "{dir}/bars.csv", "--date", "2020-01-08"],
@@ -59,6 +71,19 @@ COMMANDS = {
                        "--decompose"],
     "compare": ["compare", "{dir}/bars.csv", "--shares-outstanding", "25000000"],
     "basket_etf": ["basket", "{dir}/positions.csv", "--etf-lix", "6.5"],
+    "basket": ["basket", "{dir}/positions.csv"],
+    "basket_extreme": ["basket", "{dir}/extreme.csv", "--etf-lix", "-0.0"],
+    "basket_etf_nan": ["basket", "{dir}/positions.csv", "--etf-lix", "nan"],
+    "cost": ["cost", *COST],
+    "cost_alpha_one": ["cost", *COST, "--alpha", "1"],
+    "cost_alpha_zero": ["cost", *COST, "--alpha", "0"],
+    "lix_intraday": ["lix-intraday", "--cum-volume", "350000", "--last-price", "50.25",
+                     "--high", "51", "--low", "49.5", "--elapsed", "7200",
+                     "--session", "23400"],
+    # Successful calibrate-alpha runs are left out: their values go through
+    # np.log10, whose last digits can differ from one CPU to another.
+    "calibrate_alpha_vol_nan": ["calibrate-alpha", "--vol", "nan", "--paths", "4",
+                                "--steps", "20"],
 }
 FORMATS = ("text", "csv", "json")
 PRECISIONS = ("0", "6", "17")
@@ -67,7 +92,8 @@ CASES = [f"{name}-{fmt}-{p}" for name in COMMANDS for fmt in FORMATS for p in PR
 
 def _write_inputs(directory: Path) -> None:
     for name, text in (("bars.csv", BARS), ("book.csv", BOOK),
-                       ("positions.csv", POSITIONS)):
+                       ("positions.csv", POSITIONS),
+                       ("extreme.csv", EXTREME_POSITIONS)):
         (directory / name).write_text(text, encoding="utf-8")
 
 
