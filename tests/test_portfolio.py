@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +19,21 @@ def spec_of(*pairs, etf=None, strict=False):
 
 basket_specs = st.lists(st.tuples(weights, lix_values), min_size=1, max_size=8) \
     .map(lambda pairs: spec_of(*pairs))
+
+
+def _reference_neg_log10_weighted_inverse(pairs):
+    # -log10(sum beta * 10^-L) as the algebra was first written, rescaled
+    # around the smallest L.
+    lmin = min(lv for _, lv in pairs)
+    total = math.fsum(beta * 10.0 ** (lmin - lv) for beta, lv in pairs)
+    return lmin - math.log10(total)
+
+
+def _reference_log10_sum_of_powers(values):
+    # log10(sum 10^L), rescaled around the largest L.
+    lmax = max(values)
+    total = math.fsum(10.0 ** (lv - lmax) for lv in values)
+    return lmax + math.log10(total)
 
 
 class TestBasketLix:
@@ -127,6 +143,29 @@ class TestVenueCombine:
     def test_n_equal_venues(self, x, n):
         assert venue_combine([x] * n).value == pytest.approx(x + math.log10(n),
                                                              abs=1e-12)
+
+
+class TestAlgebraExactness:
+    @staticmethod
+    def random_lix(rng):
+        return rng.choice([rng.uniform(-400, 400), rng.uniform(4, 10), 0.0, -0.0])
+
+    def test_equals_the_reference_formulas_to_the_sign_of_zero(self):
+        def same(got, want):
+            return got == want and math.copysign(1, got) == math.copysign(1, want)
+        rng = random.Random(2014)
+        for _ in range(10_000):
+            pairs = [(rng.uniform(1e-3, 2), self.random_lix(rng))
+                     for _ in range(rng.randint(1, 6))]
+            spec = spec_of(*pairs, etf=self.random_lix(rng))
+            basket = _reference_neg_log10_weighted_inverse(
+                [(p.beta, p.lix) for p in spec.positions])
+            venues = [lv for _, lv in pairs]
+            assert same(basket_lix(spec).value, basket), pairs
+            assert same(basket_with_etf_lix(spec).value,
+                        _reference_log10_sum_of_powers([basket, spec.etf_lix])), pairs
+            assert same(venue_combine(venues).value,
+                        _reference_log10_sum_of_powers(venues)), pairs
 
 
 class TestWeights:
