@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from . import errors
-from .measures import LiquidityIndex, as_lix_value
+from .measures import LiquidityIndex, ScalingParams, as_lix_value
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,7 @@ class ExecutionPlan:
             raise errors.InvalidInterval(
                 f"slice_interval {self.slice_interval} not in "
                 f"(0, session_length={self.session_length}]")
-        if not (0 < self.alpha <= 1):
-            raise errors.InvalidParams(f"alpha must be in (0, 1], got {self.alpha}")
+        ScalingParams(self.alpha)
         as_lix_value(self.lix)  # reject non-finite
 
     @property

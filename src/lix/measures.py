@@ -62,10 +62,7 @@ def as_lix_value(lix: LiquidityIndex | float) -> float:
     """Accept either a LiquidityIndex or a bare float on the log scale."""
     if isinstance(lix, LiquidityIndex):
         return lix.value
-    v = float(lix)
-    if not math.isfinite(v):
-        raise errors.InvalidParams(f"liquidity value must be finite, got {v}")
-    return v
+    return _finite_index(float(lix), "liquidity value")
 
 
 @dataclass(frozen=True)

@@ -166,15 +166,12 @@ class Books:
 
 def _side_terms(prices, volumes):
     # (VWAP, total volume) of each side of each book, shape (n_books, 2).
-    # Each sum runs level by level from level 1, as a sequential sum over
+    # accumulate sums level by level from level 1, as a sequential sum over
     # the side's levels would; the padding adds exact zeros. Overflow and
     # an empty side are left to the callers' checks, as with Python floats.
     with np.errstate(all="ignore"):
-        weighted = prices * volumes
-        value, total = weighted[..., 0].copy(), volumes[..., 0].copy()
-        for k in range(1, volumes.shape[2]):
-            value += weighted[..., k]
-            total += volumes[..., k]
+        value = np.add.accumulate(prices * volumes, axis=2)[..., -1]
+        total = np.add.accumulate(volumes, axis=2)[..., -1]
         return value / total, total
 
 

@@ -4,7 +4,8 @@ Basket liquidity is the index of a hypothetical single instrument whose
 per-currency-unit transaction cost equals the money-weighted cost of trading
 the basket: 10^-LIX_basket = sum_i beta_i * 10^-LIX_i. Non-logged liquidity
 is additive across venues (shared price and range under no-arbitrage), which
-also combines a basket leg with ETF-share liquidity.
+also combines a basket leg with ETF-share liquidity. All three formulas are
+log10 of a weighted sum of powers of ten, and share one kernel.
 """
 
 from __future__ import annotations
@@ -83,26 +84,21 @@ class BasketSpec:
         return cls(positions, etf_lix, normalize=not strict)
 
 
-def _neg_log10_weighted_inverse(pairs) -> float:
-    # -log10(sum beta * 10^-L), rescaled around the smallest L so user inputs
-    # far outside [5, 10] cannot overflow 10^L. fsum makes the result exactly
-    # permutation invariant.
-    lmin = min(lv for _, lv in pairs)
-    total = math.fsum(beta * 10.0 ** (lmin - lv) for beta, lv in pairs)
-    return lmin - math.log10(total)
-
-
-def _log10_sum_of_powers(values) -> float:
-    # log10(sum 10^L) with the same rescaling, around the largest L.
-    lmax = max(values)
-    total = math.fsum(10.0 ** (lv - lmax) for lv in values)
-    return lmax + math.log10(total)
+def _log10_weighted_sum(weights, exponents) -> tuple[float, float]:
+    # log10(sum w * 10^x) as (xmax, t) with the sum xmax + t, rescaled around
+    # the largest x so user inputs far outside [5, 10] cannot overflow 10^x.
+    # fsum makes the result exactly permutation invariant. The basket negates
+    # it as -xmax - t: -(xmax + t) would turn a basket at L = 0.0 into -0.0.
+    xmax = max(exponents)
+    total = math.fsum(w * 10.0 ** (x - xmax) for w, x in zip(weights, exponents))
+    return xmax, math.log10(total)
 
 
 def basket_lix(spec: BasketSpec) -> LiquidityIndex:
     """Money-weighted basket liquidity; ignores any ETF leg."""
-    pairs = [(p.beta, as_lix_value(p.lix)) for p in spec.positions]
-    return LiquidityIndex(_neg_log10_weighted_inverse(pairs), LixKind.BASKET)
+    xmax, t = _log10_weighted_sum([p.beta for p in spec.positions],
+                                  [-as_lix_value(p.lix) for p in spec.positions])
+    return LiquidityIndex(-xmax - t, LixKind.BASKET)
 
 
 def basket_with_etf_lix(spec: BasketSpec) -> LiquidityIndex:
@@ -110,7 +106,8 @@ def basket_with_etf_lix(spec: BasketSpec) -> LiquidityIndex:
     if spec.etf_lix is None:
         raise errors.MissingEtfLeg("basket has no ETF-share liquidity leg")
     legs = (basket_lix(spec).value, as_lix_value(spec.etf_lix))
-    return LiquidityIndex(_log10_sum_of_powers(legs), LixKind.BASKET_WITH_ETF)
+    xmax, t = _log10_weighted_sum((1.0, 1.0), legs)
+    return LiquidityIndex(xmax + t, LixKind.BASKET_WITH_ETF)
 
 
 def venue_combine(lix_values) -> LiquidityIndex:
@@ -118,4 +115,5 @@ def venue_combine(lix_values) -> LiquidityIndex:
     values = [as_lix_value(v) for v in lix_values]
     if not values:
         raise errors.EmptyList("no liquidity values to combine")
-    return LiquidityIndex(_log10_sum_of_powers(values), LixKind.COMBINED)
+    xmax, t = _log10_weighted_sum([1.0] * len(values), values)
+    return LiquidityIndex(xmax + t, LixKind.COMBINED)

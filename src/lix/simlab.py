@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import errors
-from .measures import DailyBar, IntradayWindow, ScalingParams, lix_daily
+from .measures import DailyBar, IntradayWindow, ScalingParams, _finite_index, lix_daily
 from .orderbook import AdvContext, BookLevel, Books, OrderBookSnapshot, lixi_many
 
 _CHUNK_PATHS = 4096  # fixed so chunking never changes results
@@ -69,9 +69,7 @@ class PathModel:
             raise errors.InvalidParams(
                 f"steps_per_day must be >= 10, got {self.steps_per_day}")
         for name in ("volatility_per_step", "drift_per_step"):
-            if not math.isfinite(getattr(self, name)):
-                raise errors.InvalidParams(
-                    f"{name} must be finite, got {getattr(self, name)}")
+            _finite_index(getattr(self, name), name)
         if self.volatility_per_step < 0:
             raise errors.InvalidParams(
                 f"volatility_per_step must be >= 0, got {self.volatility_per_step}")
