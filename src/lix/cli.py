@@ -306,9 +306,12 @@ def _cmd_basket(args, out, err):
 def _cmd_compare(args, out, err):
     bars = _read_bars(args.bars)
     window = MultiDayWindow(bars=bars, shares_outstanding=args.shares_outstanding)
+    try:
+        lix = lix_daily(bars[-1]).value
+    except errors.LixError as exc:
+        raise type(exc)(f"{bars.dates[-1]}: {exc}") from None
     _emit({"measure": ["lix", "hui_heubel", "amihud_illiq"],
-           "value": [lix_daily(bars[-1]).value, hui_heubel(window), amihud_illiq(window)]},
-          args, out)
+           "value": [lix, hui_heubel(window), amihud_illiq(window)]}, args, out)
     return 0
 
 

@@ -62,17 +62,18 @@ def hui_heubel(w: MultiDayWindow) -> float:
         raise errors.InsufficientData(
             f"need {HUI_HEUBEL_DAYS} bars, got {len(w.bars)}")
     recent = w.bars[-HUI_HEUBEL_DAYS:]
+    span = f"{recent.dates[0]} to {recent.dates[-1]}"
     p_high = max(recent.high.tolist())
     p_low = min(recent.low.tolist())
     if p_high == p_low:
-        raise errors.ZeroRange("no price range over the five-day window")
+        raise errors.ZeroRange(f"{span}: no price range over the five-day window")
     if p_low <= 0:
-        raise errors.NonPositivePrice(f"five-day low is {p_low}, so the relative "
-                                      f"range is undefined")
+        raise errors.NonPositivePrice(f"{span}: five-day low is {p_low}, so the "
+                                      f"relative range is undefined")
     with np.errstate(over="ignore"):  # an overflowing total is inf, as with floats
         dollar_volume = sum((recent.close * recent.volume).tolist())
     if dollar_volume <= 0:
-        raise errors.ZeroDollarVolume("zero dollar volume over the five-day window")
+        raise errors.ZeroDollarVolume(f"{span}: zero dollar volume over the five-day window")
     mean_close = sum(recent.close.tolist()) / len(recent)
     turnover = dollar_volume / (w.shares_outstanding * mean_close)
     # A turnover that underflowed to 0 leaves the ratio without a finite value.

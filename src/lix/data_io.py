@@ -374,6 +374,6 @@ def compute_adv(bars, window_days: int = 20) -> AdvContext:
     window = bars[-window_days:]
     nonzero = [b.volume for b in window if b.volume > 0]
     if not nonzero:
-        raise errors.AllZeroVolume(
-            f"all {len(window)} bars in the ADV window have zero volume")
+        raise errors.AllZeroVolume(f"{window[0].date} to {window[-1].date}: all "
+                                   f"{len(window)} bars in the ADV window have zero volume")
     return AdvContext(adv=sum(nonzero) / len(nonzero))

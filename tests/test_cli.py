@@ -137,6 +137,14 @@ class TestLixiCommand:
         assert payload["adv_term"] == pytest.approx(1.80103, abs=1e-5)
 
 
+    def test_all_zero_adv_window_named(self, tmp_path):
+        adv = ("date,open,high,low,close,volume\n2013-11-18,50,51,50,50,4000\n"
+               "2013-11-19,50,51,50,50,0\n2013-11-20,50,51,50,50,0\n")
+        result = run(["lixi", write(tmp_path, "book.csv", BOOK),
+                      "--adv-from", write(tmp_path, "adv.csv", adv), "--adv-window", "2"])
+        assert result == (2, "", "error: 2013-11-19 to 2013-11-20: all 2 bars in the "
+                          "ADV window have zero volume\n")
+
     def test_empty_adv_file_named(self, tmp_path):
         path = write(tmp_path, "adv.csv", "date,open,high,low,close,volume\n")
         code, out, err = run(["lixi", write(tmp_path, "book.csv", BOOK),
@@ -375,8 +383,20 @@ class TestCompareCommand:
                 + "".join(f"2020-01-0{d},1,2,0.5,1,100\n" for d in range(2, 6)))
         result = run(["compare", write(tmp_path, "b.csv", bars),
                       "--shares-outstanding", "1e6"])
-        assert result == (2, "", "error: five-day low is 0.0, so the relative "
-                          "range is undefined\n")
+        assert result == (2, "", "error: 2020-01-01 to 2020-01-05: five-day low is 0.0, "
+                          "so the relative range is undefined\n")
+
+    @pytest.mark.parametrize("last_day,message", [
+        ("50,50,50,50,100", "high == low == 50.0: price range is zero"),
+        ("50,51,49,50,0", "volume is zero"),
+    ])
+    def test_undefined_last_day_named(self, tmp_path, last_day, message):
+        bars = ("date,open,high,low,close,volume\n"
+                + "".join(f"2020-01-0{d},50,51,49,50,100\n" for d in range(1, 6))
+                + f"2020-01-06,{last_day}\n")
+        result = run(["compare", write(tmp_path, "b.csv", bars),
+                      "--shares-outstanding", "1e6"])
+        assert result == (2, "", f"error: 2020-01-06: {message}\n")
 
 
 class TestEmptyBarFile:

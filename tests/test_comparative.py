@@ -66,6 +66,18 @@ class TestHuiHeubel:
         with pytest.raises(errors.NonPositivePrice, match="five-day low"):
             hui_heubel(MultiDayWindow(bars, shares_outstanding=1e8))
 
+    @pytest.mark.parametrize("fault,bar", [
+        (errors.ZeroRange, dict(high=100, low=100)),
+        (errors.ZeroDollarVolume, dict(volume=0)),
+        (errors.NonPositivePrice, dict(low=0)),
+    ])
+    def test_window_faults_name_the_window(self, fault, bar):
+        bars = tuple(make_bar(**{"open": 100, "high": 101, "low": 99, "close": 100, **bar},
+                              day=datetime.date(2020, 1, 1) + datetime.timedelta(days=i))
+                     for i in range(6))
+        with pytest.raises(fault, match="^2020-01-02 to 2020-01-06: "):
+            hui_heubel(MultiDayWindow(bars, shares_outstanding=1e8))
+
     @pytest.mark.parametrize("volume,shares,got", [
         (5e-324, 1e8, "inf"),   # the turnover underflows to 0
         (1e6, 1e307, "inf"),    # shares x mean close overflows
