@@ -1,6 +1,7 @@
 """tools/ab.py: seed lists and the summary of paired runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,20 @@ def test_descending_seed_range_is_a_usage_error(seeds, capsys):
         ab.main(["base", "change", "--workload", "files", "--seeds", seeds])
     assert exc.value.code == 2
     assert "--seeds" in capsys.readouterr().err
+
+
+def test_workload_choices_are_the_benchmark_workloads(monkeypatch, capsys):
+    root = Path(ab.__file__).resolve().parent.parent
+    spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    monkeypatch.setattr(ab, "run_bench", lambda *args: _run(wall_s=1.0))
+    for workload in spec["workloads"]:
+        argv = [str(root), str(root), "--workload", workload["name"], "--seeds", "1"]
+        assert ab.main(argv) == 0
+    for name in ("bogus", "Files", ""):
+        with pytest.raises(SystemExit) as exc:
+            ab.main([str(root), str(root), "--workload", name, "--seeds", "1"])
+        assert exc.value.code == 2
+        assert "--workload: invalid choice" in capsys.readouterr().err
 
 
 def test_summary_counts_wins_by_direction_and_ties_for_neither():

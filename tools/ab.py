@@ -30,6 +30,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+# The workloads of the checkout that holds this script.
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+
 
 def parse_seeds(text: str) -> list[int]:
     """`801-810` or `801,805,809` (or a mix) as a list of seeds. An empty
@@ -106,8 +109,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", type=Path, help="checkout measured as the base")
     parser.add_argument("change", type=Path, help="checkout measured as the change")
-    parser.add_argument("--workload", required=True,
-                        choices=["files", "requests", "simulate"])
+    parser.add_argument("--workload", required=True, choices=[
+        w["name"] for w in json.loads(BENCHMARK.read_text(encoding="utf-8"))["workloads"]])
     parser.add_argument("--seeds", required=True, type=parse_seeds,
                         help="one pair of runs per seed: 801-810 or 801,805")
     parser.add_argument("--seconds", type=float, default=30)
