@@ -166,9 +166,9 @@ class Books:
 
 def _side_terms(prices, volumes):
     # (VWAP, total volume) of each side of each book, shape (n_books, 2).
-    # accumulate sums level by level from level 1, as a sequential sum over
-    # the side's levels would; the padding adds exact zeros. Overflow and
-    # an empty side are left to the callers' checks, as with Python floats.
+    # np.add.accumulate sums level by level from level 1, as a sequential
+    # sum over the side's levels would; the padding adds exact zeros. Overflow
+    # and an empty side are left to the callers' checks, as with Python floats.
     with np.errstate(all="ignore"):
         value = np.add.accumulate(prices * volumes, axis=2)[..., -1]
         total = np.add.accumulate(volumes, axis=2)[..., -1]

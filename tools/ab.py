@@ -30,7 +30,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-# The workloads of the checkout that holds this script.
+# --workload's choices are the workloads of the checkout that holds this script.
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
