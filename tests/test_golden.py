@@ -59,6 +59,10 @@ HIGH,0.3,400
 LOW,0.4,-400
 """
 
+HEADER_ONLY = {"book_header.csv": "timestamp,side,level,price,volume\n",
+               "positions_header.csv": "instrument,beta,lix\n",
+               "empty.csv": ""}
+
 COST = ["--shares", "50000", "--price", "25.5", "--lix", "7.25", "--slice-t", "600",
         "--session", "23400"]
 
@@ -84,6 +88,15 @@ COMMANDS = {
     # np.log10, whose last digits can differ from one CPU to another.
     "calibrate_alpha_vol_nan": ["calibrate-alpha", "--vol", "nan", "--paths", "4",
                                 "--steps", "20"],
+    "lix_bad_date": ["lix", "{dir}/bars.csv", "--date", "2020-13-01"],
+    "lix_empty_file": ["lix", "{dir}/empty.csv"],
+    "lixi_no_snapshots": ["lixi", "{dir}/book_header.csv", "--adv-from", "{dir}/bars.csv"],
+    "basket_no_positions": ["basket", "{dir}/positions_header.csv"],
+    "calibrate_alpha_bad_dof": ["calibrate-alpha", "--model", "t:x", "--paths", "4",
+                                "--steps", "20"],
+    "calibrate_alpha_bad_grid": ["calibrate-alpha", "--grid", "0.1,x", "--paths", "4",
+                                 "--steps", "20"],
+    "study_no_snapshots": ["study", "--snapshots", "0", "--instruments", "2", "--days", "1"],
 }
 FORMATS = ("text", "csv", "json")
 PRECISIONS = ("0", "6", "17")
@@ -93,7 +106,7 @@ CASES = [f"{name}-{fmt}-{p}" for name in COMMANDS for fmt in FORMATS for p in PR
 def _write_inputs(directory: Path) -> None:
     for name, text in (("bars.csv", BARS), ("book.csv", BOOK),
                        ("positions.csv", POSITIONS),
-                       ("extreme.csv", EXTREME_POSITIONS)):
+                       ("extreme.csv", EXTREME_POSITIONS), *HEADER_ONLY.items()):
         (directory / name).write_text(text, encoding="utf-8")
 
 
