@@ -23,11 +23,11 @@ pass has its first whole-book fault (a gap, a crossed book) raised there.
 A file that is not clean, or fails its bulk step, is read again with line
 numbers and walked in file order: the kind's `check_row(row, line, seen)`
 runs its scalar field checks, its duplicate check (on `seen`, shared by all
-rows) and its record's constructor on each row. A field check's ParseError
-carries its line; a record's own fault is raised as InvariantViolation with
-the line. A structural fault (a row of the wrong width, malformed CSV) is
-raised only when no row before it has a fault. A walk that finds none (the
-file only had blank rows, say) hands its flat fields back to `bulk`.
+rows) and its record's constructor on each row as it reads it, and stops at
+the first fault: a field check's ParseError with its line, a record's own
+fault as InvariantViolation with the line, or a structural one (a row of the
+wrong width, malformed CSV). A walk that finds none (the file only had blank
+rows, say) hands its flat fields back to `bulk`.
 Iterating `Bars` or `Books` yields DailyBar or OrderBookSnapshot records.
 """
 
@@ -142,18 +142,16 @@ def _read_rows(path, expected_header):
 
 
 def _numbered_rows(path, text, expected_header):
-    """(lines, fields, fault): every non-blank data row after the header,
-    its fields flat as `_read_rows` gives them.
-
-    `lines[i]` is the physical line row i ends on, so quoted fields
-    spanning newlines do not shift later locations. A row with the wrong
-    number of fields, malformed CSV, or a quoted field still open at the end
-    of the file ends the read: `fault` is its ParseError (else None), for
-    the caller to raise once it has found no fault in the rows before it.
+    """Each non-blank data row after the header as (line, row). `line` is
+    the physical line the row ends on, so quoted fields spanning newlines do
+    not shift later locations. A row of the wrong width, malformed CSV, or a
+    quoted field still open at the end of the file (in place of the record
+    it opens) raises its ParseError where the read reaches it.
     """
     path = Path(path)
+    n_lines = len(io.StringIO(text, newline="").readlines())
+    open_at_end = _CLOSED_FIELDS.match(text).end() < len(text)
     reader = csv.reader(io.StringIO(text, newline=""))
-    lines, fields, fault = [], [], None
     width = len(expected_header)
     try:
         _check_header(reader, path, expected_header)
@@ -161,19 +159,16 @@ def _numbered_rows(path, text, expected_header):
             if len(row) != width:
                 if not row or row == [""]:
                     continue
-                fault = errors.ParseError(f"expected {width} fields, got {len(row)}",
-                                          line=reader.line_num)
+                raise errors.ParseError(f"expected {width} fields, got {len(row)}",
+                                        line=reader.line_num)
+            if open_at_end and reader.line_num == n_lines:  # the open record
                 break
-            lines.append(reader.line_num)
-            fields += row
+            yield reader.line_num, row
     except csv.Error as exc:
-        fault = errors.ParseError(f"{path}: malformed CSV: {exc}", line=reader.line_num)
-    if fault is None and _CLOSED_FIELDS.match(text).end() < len(text):
-        if lines and lines[-1] == reader.line_num:  # the open record
-            del lines[-1], fields[-width:]
-        fault = errors.ParseError(f"{path}: malformed CSV: quoted field not closed "
-                                  f"at end of file", line=reader.line_num)
-    return lines, fields, fault
+        raise errors.ParseError(f"{path}: malformed CSV: {exc}", line=reader.line_num) from None
+    if open_at_end:
+        raise errors.ParseError(f"{path}: malformed CSV: quoted field not closed "
+                                f"at end of file", line=n_lines)
 
 
 def _read(path, header, bulk, check_row):
@@ -189,15 +184,13 @@ def _read(path, header, bulk, check_row):
     result = None if fields is None else bulk(fields)
     if result is not None:
         return result
-    lines, fields, fault = _numbered_rows(path, text, header)
-    seen = {}
-    for line, row in zip(lines, zip(*[iter(fields)] * len(header))):
+    seen, fields = {}, []
+    for line, row in _numbered_rows(path, text, header):
         try:
             check_row(row, line, seen)
         except (errors.InvariantViolation, errors.InvalidParams) as exc:
             raise errors.InvariantViolation(str(exc), line=line) from None
-    if fault is not None:
-        raise fault
+        fields += row
     return bulk(fields)
 
 
