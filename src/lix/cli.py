@@ -290,15 +290,16 @@ def _cmd_basket(args, out, err):
     positions = data_io.parse_basket_positions(args.positions)
     if not positions:
         raise errors.EmptyBasket(f"{args.positions}: no positions")
-    spec = portfolio.BasketSpec.build(positions, etf_lix=args.etf_lix,
-                                      strict=args.strict)
+    try:
+        spec = portfolio.BasketSpec.build(positions, etf_lix=args.etf_lix,
+                                          strict=args.strict)
+    except errors.UnnormalizedWeights as exc:
+        raise errors.UnnormalizedWeights(f"{exc}; drop --strict to normalize") from None
     if abs(spec.weight_sum - 1.0) > portfolio.WEIGHT_TOLERANCE:
         print(f"warning: weights sum to {spec.weight_sum:g}; normalizing", file=err)
-    basket = portfolio.basket_lix(spec)
-    row = {"lix": basket.value}
+    row = {"lix": portfolio.basket_lix(spec).value}
     if args.etf_lix is not None:
-        # The ETF-share leg adds to the basket leg as a venue does.
-        row["lix_with_etf"] = portfolio.venue_combine([basket, spec.etf_lix]).value
+        row["lix_with_etf"] = portfolio.basket_with_etf_lix(spec).value
     _emit_one(row, args, out)
     return 0
 

@@ -4,7 +4,8 @@ Hui-Heubel relates the five-day relative price range to turnover of the
 float; Amihud's ILLIQ averages |daily return| per dollar traded. Both use
 the dollar-volume proxy close * volume per day, and both read the window's
 bars as columns. A window whose products or ratios overflow has no finite
-value and raises InvalidParams, as a non-finite LIX does.
+value and raises InvalidParams, as a non-finite LIX does. Every fault names
+its window by its first and last date.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def hui_heubel(w: MultiDayWindow) -> float:
     turnover = dollar_volume / (w.shares_outstanding * mean_close)
     # A turnover that underflowed to 0 leaves the ratio without a finite value.
     return _finite_index((p_high - p_low) / p_low / turnover if turnover else math.inf,
-                         "hui_heubel")
+                         f"{span}: hui_heubel")
 
 
 def amihud_illiq(w: MultiDayWindow) -> float:
@@ -101,4 +102,5 @@ def amihud_illiq(w: MultiDayWindow) -> float:
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN, as with floats
         terms = np.abs(bars.close[1:] / bars.close[:-1] - 1.0) / dollar_volume
     # Summed in day order, as a running total.
-    return _finite_index(np.add.accumulate(terms)[-1].item() / len(terms), "amihud_illiq")
+    return _finite_index(np.add.accumulate(terms)[-1].item() / len(terms),
+                         f"{bars.dates[0]} to {bars.dates[-1]}: amihud_illiq")

@@ -68,7 +68,7 @@ class ZeroDollarVolume(LixError):
 # --- simulation lab ----------------------------------------------------------
 
 class DegenerateGrid(LixError):
-    """Time grid fractions are not distinct or lie outside (0, 1]."""
+    """Time grid has fewer than two fractions, repeats one, or leaves (0, 1]."""
 
 
 class InvalidParams(LixError):

@@ -185,6 +185,10 @@ def side_vwap(levels) -> float:
     return vwap.item()
 
 
+def _at(books: Books, i: int) -> str:
+    return f"(t={books.timestamps[i].item()})"
+
+
 def _book_terms(books: Books):
     """(VWAP gap, touch midprice, total displayed volume) of every book, as
     float64 arrays, and {index: LixError} for the books they are undefined on."""
@@ -195,14 +199,21 @@ def _book_terms(books: Books):
         gap = vwap_ask - vwap_bid
         mid = (books.price[:, 1, 0] + books.price[:, 0, 0]) / 2
         volume = bid_volume + ask_volume
-        undefined = (bid_volume == 0) | (ask_volume == 0) | (vwap_ask <= vwap_bid)
+        undefined = ((bid_volume == 0) | (ask_volume == 0) | ~np.isfinite(vwap).all(axis=1)
+                     | (vwap_ask <= vwap_bid))
     faults = {}
     for i in undefined.nonzero()[0].tolist():
-        at = f"(t={books.timestamps[i].item()})"
+        at = _at(books, i)
         if bid_volume[i] == 0:
             faults[i] = errors.EmptySide(f"bid side is empty {at}")
         elif ask_volume[i] == 0:
             faults[i] = errors.EmptySide(f"ask side is empty {at}")
+        elif not math.isfinite(vwap_bid[i]):
+            faults[i] = errors.InvalidParams(
+                f"bid-side VWAP must be finite, got {vwap_bid[i].item()} {at}")
+        elif not math.isfinite(vwap_ask[i]):
+            faults[i] = errors.InvalidParams(
+                f"ask-side VWAP must be finite, got {vwap_ask[i].item()} {at}")
         else:
             faults[i] = errors.CrossedBook(
                 f"ask-side VWAP {vwap_ask[i].item()} <= bid-side VWAP "
@@ -236,7 +247,7 @@ def lixi_many(books: Books, ctx: AdvContext,
         try:
             out.append(faults[i] if i in faults else _log10(x) + scale * _log10(y))
         except errors.LixError as exc:
-            out.append(exc)
+            out.append(type(exc)(f"{exc} {_at(books, i)}"))
     return out
 
 
@@ -284,14 +295,16 @@ def lixi_decomposed_many(books: Books, ctx: AdvContext) -> list:
     adv_term = 0.5 * _log10(ctx.adv)
     out = []
     for i, (s, v) in enumerate(zip(spread.tolist(), volume.tolist())):
+        if i in faults:
+            out.append(faults[i])
+            continue
         try:
-            _raise_or_value(faults.get(i))
             spread_term = -_log10(s)
             depth_term = 0.5 * _log10(v)
             out.append(LixiDecomposition(spread_term, depth_term, adv_term,
                                          spread_term + depth_term + adv_term))
         except errors.LixError as exc:
-            out.append(exc)
+            out.append(type(exc)(f"{exc} {_at(books, i)}"))
     return out
 
 

@@ -71,8 +71,7 @@ class BasketSpec:
             positions = tuple(map(BasketPosition._reweighted, positions, weights))
         elif abs(total - 1.0) > WEIGHT_TOLERANCE:
             raise errors.UnnormalizedWeights(
-                f"weights sum to {total}, expected 1 within {WEIGHT_TOLERANCE}; "
-                f"build with strict=False to normalize")
+                f"weights sum to {total}, expected 1 within {WEIGHT_TOLERANCE}")
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "weight_sum", total)
         if self.etf_lix is not None:

@@ -173,7 +173,9 @@ def estimate_alpha(model: PathModel, n_paths: int, time_grid) -> AlphaEstimate:
     fixed-size chunks with per-chunk seed streams.
     """
     grid = tuple(float(f) for f in time_grid)
-    if len(set(grid)) != len(grid) or len(grid) < 2:
+    if len(grid) < 2:
+        raise errors.DegenerateGrid(f"need at least 2 time grid fractions, got {len(grid)}")
+    if len(set(grid)) != len(grid):
         raise errors.DegenerateGrid("time grid fractions must be distinct")
     if any(not (0 < f <= 1) for f in grid):
         raise errors.DegenerateGrid("time grid fractions must lie in (0, 1]")

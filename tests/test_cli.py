@@ -158,17 +158,18 @@ class TestLixiCommand:
         code, out, err = run(["lixi", write(tmp_path, "book.csv", book),
                               "--adv-from", write(tmp_path, "adv.csv", adv)])
         assert (code, out, err) == (
-            2, "", "error: liquidity index must be finite, got -inf\n")
+            2, "", "error: liquidity index must be finite, got -inf (t=0.0)\n")
 
     @pytest.mark.parametrize("flags", [[], ["--decompose"]])
     @pytest.mark.parametrize("rows, shown", [
         # price x volume and the total volume overflow to inf; both VWAPs
-        # are inf and compare as crossed, as with Python floats
+        # are inf, which has no finite index
         ("1,B,1,1e200,1e200\n1,B,2,5e199,1e308\n1,A,1,2e200,1e200\n1,A,2,3e200,1e308\n",
-         "ask-side VWAP inf <= bid-side VWAP inf (t=1.0)"),
-        # each side's volume overflows too, so both VWAPs are inf / inf
+         "bid-side VWAP must be finite, got inf (t=1.0)"),
+        # each side's volume overflows too: the bid VWAP is 1.5e308 / inf
+        # and the ask VWAP inf / inf
         ("1,B,1,1,1e308\n1,B,2,0.5,1e308\n1,A,1,2,1e308\n1,A,2,3,1e308\n",
-         "liquidity index must be finite, got nan"),
+         "ask-side VWAP must be finite, got nan (t=1.0)"),
     ], ids=["inf-vwaps", "nan-vwaps"])
     def test_overflowing_book_reports_only_the_error(self, tmp_path, rows, shown, flags):
         book = "timestamp,side,level,price,volume\n" + rows
@@ -178,6 +179,28 @@ class TestLixiCommand:
                           "--adv-from", write(tmp_path, "adv.csv", ADV_BARS)] + flags)
         assert result == (2, "", f"error: {shown}\n")
         assert caught == []
+
+    @pytest.mark.parametrize("flags", [[], ["--decompose"]])
+    def test_overflowing_vwaps_are_not_called_crossed(self, tmp_path, flags):
+        # price x volume overflows on each side, though the best ask is
+        # above the best bid: no VWAP is finite, and the book is not crossed
+        book = ("timestamp,side,level,price,volume\n"
+                "0,B,1,1e300,1e300\n0,B,2,9e299,1e300\n0,A,1,1.1e300,1e300\n")
+        result = run(["lixi", write(tmp_path, "book.csv", book),
+                      "--adv-from", write(tmp_path, "adv.csv", ADV_BARS)] + flags)
+        assert result == (2, "", "error: bid-side VWAP must be finite, got inf (t=0.0)\n")
+
+    @pytest.mark.parametrize("rows, shown", [
+        # the ask side's price x volume overflows
+        ("0,B,1,1,1\n0,A,1,1e300,1e300\n", "ask-side VWAP must be finite, got inf"),
+        # the displayed volume overflows, so LIXI does
+        ("0,B,1,1,1e308\n0,A,1,1.5,1e308\n", "liquidity index must be finite, got inf"),
+    ], ids=["vwap", "lixi"])
+    def test_non_finite_lixi_names_its_book(self, tmp_path, rows, shown):
+        book = "timestamp,side,level,price,volume\n" + rows
+        result = run(["lixi", write(tmp_path, "book.csv", book),
+                      "--adv-from", write(tmp_path, "adv.csv", ADV_BARS)])
+        assert result == (2, "", f"error: {shown} (t=0.0)\n")
 
     @pytest.mark.parametrize("rows, shown", [
         ("0,A,1,101,10\n1,B,1,99,10\n1,A,1,101,10\n", "bid side is empty (t=0.0)"),
@@ -277,6 +300,12 @@ class TestBasketCommand:
         code, _, err = run(["basket", write(tmp_path, "p.csv", text), "--strict"])
         assert code == 2
 
+    def test_strict_fault_names_the_flag(self, tmp_path):
+        text = "instrument,beta,lix\nA,4,7\nB,10.002,7\n"
+        result = run(["basket", write(tmp_path, "p.csv", text), "--strict"])
+        assert result == (2, "", "error: weights sum to 14.002, expected 1 within 1e-09; "
+                          "drop --strict to normalize\n")
+
     def test_overflowing_weight_sum_rejected(self, tmp_path):
         text = "instrument,beta,lix\nA,1e308,7\nB,1e308,7\n"
         result = run(["basket", write(tmp_path, "p.csv", text)])
@@ -375,8 +404,31 @@ class TestCompareCommand:
             warnings.simplefilter("always")
             result = run(["compare", write(tmp_path, "b.csv", bars),
                           "--shares-outstanding", "1e6"])
-        assert result == (2, "", "error: hui_heubel must be finite, got nan\n")
+        assert result == (2, "", "error: 2020-01-01 to 2020-01-07: hui_heubel must be "
+                          "finite, got nan\n")
         assert caught == []
+
+    def test_non_finite_hui_heubel_names_its_window(self, tmp_path):
+        # the relative range of day 2 overflows
+        days = ["1,2,1,1.5,10"] * 6
+        days[1] = "1,1.7e308,1e-300,1,1"
+        bars = "date,open,high,low,close,volume\n" + "".join(
+            f"2020-01-0{d},{row}\n" for d, row in enumerate(days, 1))
+        result = run(["compare", write(tmp_path, "b.csv", bars),
+                      "--shares-outstanding", "1e6"])
+        assert result == (2, "", "error: 2020-01-02 to 2020-01-06: hui_heubel must be "
+                          "finite, got inf\n")
+
+    def test_non_finite_amihud_names_its_bars(self, tmp_path):
+        # the return into day 2 overflows; the Hui-Heubel window is fine
+        days = ["1,2,1,1.5,10"] * 7
+        days[:2] = ["1e-300,1,1e-300,1e-300,10", "1,1e300,1,1e300,10"]
+        bars = "date,open,high,low,close,volume\n" + "".join(
+            f"2020-01-0{d},{row}\n" for d, row in enumerate(days, 1))
+        result = run(["compare", write(tmp_path, "b.csv", bars),
+                      "--shares-outstanding", "1e6"])
+        assert result == (2, "", "error: 2020-01-01 to 2020-01-07: amihud_illiq must be "
+                          "finite, got inf\n")
 
     def test_zero_five_day_low_rejected(self, tmp_path):
         bars = ("date,open,high,low,close,volume\n2020-01-01,1,2,0,1,100\n"
@@ -453,6 +505,12 @@ class TestCalibrateCommand:
                               "--grid", "0.1,0.12,1"])
         assert (code, out) == (2, "")
         assert "repeated steps" in err
+
+    @pytest.mark.parametrize("grid, count", [("0.5", 1), (",", 0)])
+    def test_grid_of_fewer_than_two_fractions_rejected(self, grid, count):
+        result = run(["calibrate-alpha", "--grid", grid, "--paths", "4", "--steps", "20"])
+        assert result == (2, "", f"error: need at least 2 time grid fractions, "
+                          f"got {count}\n")
 
     def test_unallocatable_walk_rejected(self):
         # 2**61 float64 steps are 2**64 bytes: numpy refuses before allocating

@@ -246,6 +246,25 @@ class TestBooksKernel:
                 assert not refused, books.price[i].tolist()
         assert 0 < mask.sum() < n
 
+    def test_non_finite_terms_name_their_book(self):
+        # The second book's VWAP spread over its tiny midprice overflows, and
+        # its displayed volume x midprice over that spread underflows.
+        books = Books.of([make_book([(99, 1)], [(101, 1)]),
+                          make_book([(1e-300, 1)], [(2e-300, 1), (1e290, 1e10)],
+                                    timestamp=2.5)])
+        value, decomposed = (f(books, AdvContext(10))[1]
+                             for f in (lixi_many, lixi_decomposed_many))
+        assert (type(value), str(value)) == (
+            errors.InvalidParams, "liquidity index must be finite, got -inf (t=2.5)")
+        assert (type(decomposed), str(decomposed)) == (
+            errors.InvalidParams, "liquidity index must be finite, got inf (t=2.5)")
+
+    def test_overflowing_vwap_is_not_crossed(self):
+        book = make_book([(1e300, 1e300), (9e299, 1e300)], [(1.1e300, 1e300)])
+        with pytest.raises(errors.InvalidParams, match=r"^bid-side VWAP must be finite, "
+                           r"got inf \(t=0\.0\)$"):
+            lixi_tau(book)
+
     def test_underflowing_adv_term_rejected(self):
         book = make_book([(99, 1e300)], [(101, 1e300)])
         with pytest.raises(errors.InvalidParams, match="got -inf"):
