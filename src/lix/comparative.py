@@ -4,8 +4,8 @@ Hui-Heubel relates the five-day relative price range to turnover of the
 float; Amihud's ILLIQ averages |daily return| per dollar traded. Both use
 the dollar-volume proxy close * volume per day, and both read the window's
 bars as columns. A window whose products or ratios overflow has no finite
-value and raises InvalidParams, as a non-finite LIX does. Every fault names
-its window by its first and last date.
+value and raises InvalidParams, as a non-finite LIX does, naming the window
+by its first and last date.
 """
 
 from __future__ import annotations
