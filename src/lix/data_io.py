@@ -20,11 +20,12 @@ for bars and book levels, the constructor for positions). A clean file
 becomes `Bars`, `Books` or a list of BasketPosition; a book file whose rows
 pass has its first whole-book fault (a gap, a crossed book) raised there.
 
-A file that is not clean, or fails its bulk step, is read again with line
-numbers and walked in file order: the kind's `check_row(row, line, seen)`
-runs its scalar field checks, its duplicate check (on `seen`, shared by all
-rows) and its record's constructor on each row as it reads it, and stops at
-the first fault: a field check's ParseError with its line, a record's own
+A file that is not clean, or fails its bulk step, is scanned once for a
+quoted field left open at its end, then read again with line numbers and
+walked in file order: the kind's `check_row(row, line, seen)` runs its
+scalar field checks, its duplicate check (on `seen`, shared by all rows)
+and its record's constructor on each row as it reads it, and the walk stops
+at the first fault: a field check's ParseError with its line, a record's own
 fault as InvariantViolation with the line, or a structural one (a row of the
 wrong width, malformed CSV). A walk that finds none (the file only had blank
 rows, say) hands its flat fields back to `bulk`.
@@ -149,8 +150,8 @@ def _numbered_rows(path, text, expected_header):
     it opens) raises its ParseError where the read reaches it.
     """
     path = Path(path)
-    n_lines = len(io.StringIO(text, newline="").readlines())
     open_at_end = _CLOSED_FIELDS.match(text).end() < len(text)
+    last = len(io.StringIO(text, newline="").readlines()) if open_at_end else None
     reader = csv.reader(io.StringIO(text, newline=""))
     width = len(expected_header)
     try:
@@ -161,14 +162,14 @@ def _numbered_rows(path, text, expected_header):
                     continue
                 raise errors.ParseError(f"expected {width} fields, got {len(row)}",
                                         line=reader.line_num)
-            if open_at_end and reader.line_num == n_lines:  # the open record
+            if reader.line_num == last:  # the open record
                 break
             yield reader.line_num, row
     except csv.Error as exc:
         raise errors.ParseError(f"{path}: malformed CSV: {exc}", line=reader.line_num) from None
     if open_at_end:
         raise errors.ParseError(f"{path}: malformed CSV: quoted field not closed "
-                                f"at end of file", line=n_lines)
+                                f"at end of file", line=last)
 
 
 def _read(path, header, bulk, check_row):

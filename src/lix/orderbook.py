@@ -233,6 +233,19 @@ def _one_book_terms(book: OrderBookSnapshot):
     return gap.item(), mid.item(), volume.item()
 
 
+def _per_book(books: Books, faults: dict, value, *columns) -> list:
+    """value(*terms) for each book's terms in `columns`, in order; a book in
+    `faults` gets its fault, and a LixError `value` raises gets the book's
+    timestamp."""
+    out = []
+    for i, terms in enumerate(zip(*columns)):
+        try:
+            out.append(faults[i] if i in faults else value(*terms))
+        except errors.LixError as exc:
+            out.append(type(exc)(f"{exc} {_at(books, i)}"))
+    return out
+
+
 def lixi_many(books: Books, ctx: AdvContext,
               params: ScalingParams = ScalingParams()) -> list:
     """LIXI of every book, in order: the value of lixi(book, ctx, params), or
@@ -242,13 +255,8 @@ def lixi_many(books: Books, ctx: AdvContext,
         depth_ratio = volume * mid / gap
         adv_ratio = ctx.adv / volume
     scale = 1 - params.alpha
-    out = []
-    for i, (x, y) in enumerate(zip(depth_ratio.tolist(), adv_ratio.tolist())):
-        try:
-            out.append(faults[i] if i in faults else _log10(x) + scale * _log10(y))
-        except errors.LixError as exc:
-            out.append(type(exc)(f"{exc} {_at(books, i)}"))
-    return out
+    return _per_book(books, faults, lambda x, y: _log10(x) + scale * _log10(y),
+                     depth_ratio.tolist(), adv_ratio.tolist())
 
 
 def lixi_tau(book: OrderBookSnapshot) -> LiquidityIndex:
@@ -293,19 +301,13 @@ def lixi_decomposed_many(books: Books, ctx: AdvContext) -> list:
     with np.errstate(all="ignore"):
         spread = gap / mid
     adv_term = 0.5 * _log10(ctx.adv)
-    out = []
-    for i, (s, v) in enumerate(zip(spread.tolist(), volume.tolist())):
-        if i in faults:
-            out.append(faults[i])
-            continue
-        try:
-            spread_term = -_log10(s)
-            depth_term = 0.5 * _log10(v)
-            out.append(LixiDecomposition(spread_term, depth_term, adv_term,
-                                         spread_term + depth_term + adv_term))
-        except errors.LixError as exc:
-            out.append(type(exc)(f"{exc} {_at(books, i)}"))
-    return out
+
+    def decomposed(s, v):
+        spread_term = -_log10(s)
+        depth_term = 0.5 * _log10(v)
+        return LixiDecomposition(spread_term, depth_term, adv_term,
+                                 spread_term + depth_term + adv_term)
+    return _per_book(books, faults, decomposed, spread.tolist(), volume.tolist())
 
 
 def lixi_decomposed(book: OrderBookSnapshot, ctx: AdvContext) -> LixiDecomposition:

@@ -71,7 +71,8 @@ class BasketSpec:
             positions = tuple(map(BasketPosition._reweighted, positions, weights))
         elif abs(total - 1.0) > WEIGHT_TOLERANCE:
             raise errors.UnnormalizedWeights(
-                f"weights sum to {total}, expected 1 within {WEIGHT_TOLERANCE}")
+                f"weights sum to {total}, expected 1 within {WEIGHT_TOLERANCE} "
+                f"when not normalizing")
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "weight_sum", total)
         if self.etf_lix is not None:

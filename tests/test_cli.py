@@ -303,8 +303,8 @@ class TestBasketCommand:
     def test_strict_fault_names_the_flag(self, tmp_path):
         text = "instrument,beta,lix\nA,4,7\nB,10.002,7\n"
         result = run(["basket", write(tmp_path, "p.csv", text), "--strict"])
-        assert result == (2, "", "error: weights sum to 14.002, expected 1 within 1e-09; "
-                          "drop --strict to normalize\n")
+        assert result == (2, "", "error: weights sum to 14.002, expected 1 within 1e-09 "
+                          "when not normalizing; drop --strict to normalize\n")
 
     def test_overflowing_weight_sum_rejected(self, tmp_path):
         text = "instrument,beta,lix\nA,1e308,7\nB,1e308,7\n"

@@ -2,7 +2,7 @@
 
 Usage:
 
-    python3 tools/parity.py BASE_DIR CHANGE_DIR [--seed 0]
+    python3 tools/parity.py BASE_DIR CHANGE_DIR
 
 It writes seeded input files to a temporary directory and builds a list of
 `lix` command lines over them: every subcommand, in `--format text|csv|json`,
@@ -36,6 +36,7 @@ PRECISIONS = ("0", "3", "6", "9", "17")
 BAR_HEADER = "date,open,high,low,close,volume"
 BOOK_HEADER = "timestamp,side,level,price,volume"
 POSITION_HEADER = "instrument,beta,lix"
+SEED = 0  # of the input files and of the commands that draw random numbers
 HUGE_FIELD = "9" * 140_000  # over the csv module's field limit: csv.Error
 
 
@@ -91,9 +92,9 @@ def _malformed(rng: random.Random, rows: list[str], faults: dict) -> dict:
     return files
 
 
-def _write_inputs(directory: Path, seed: int) -> list[tuple[str, list, str | None]]:
+def _write_inputs(directory: Path) -> list[tuple[str, list, str | None]]:
     """Write the input files; return the cases as (name, argv, LIX_PRECISION)."""
-    rng = random.Random(seed)
+    rng = random.Random(SEED)
     files, faulty = {}, {}
     bars = _bar_rows(rng, 30)
     flat = bars[7].split(",")
@@ -164,7 +165,7 @@ def _write_inputs(directory: Path, seed: int) -> list[tuple[str, list, str | Non
     cost = ["--shares", "50000", "--price", "25.5", "--lix", "7.25", "--slice-t", "600",
             "--session", "23400"]
     lixi = ["--adv-from", f"{d}/bars.csv"]
-    small = ["--paths", "16", "--steps", "40", "--seed", str(seed)]
+    small = ["--paths", "16", "--steps", "40", "--seed", str(SEED)]
     commands = {
         "lix": ["lix", f"{d}/bars.csv"],
         "lix_date": ["lix", f"{d}/bars.csv", "--date", bars[3].split(",")[0]],
@@ -203,7 +204,7 @@ def _write_inputs(directory: Path, seed: int) -> list[tuple[str, list, str | Non
         "calibrate_bad_grid": ["calibrate-alpha", "--grid", "0.1,x", *small],
         "calibrate_vol_nan": ["calibrate-alpha", "--vol", "nan", *small],
         "study": ["study", "--instruments", "3", "--days", "2", "--snapshots", "5",
-                  "--seed", str(seed)],
+                  "--seed", str(SEED)],
         "study_no_snapshots": ["study", "--snapshots", "0", "--instruments", "2",
                                "--days", "1"],
         "empty_bars": ["lix", f"{d}/empty.csv"],
@@ -270,7 +271,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", type=Path, help="checkout whose output is expected")
     parser.add_argument("change", type=Path, help="checkout compared with it")
-    parser.add_argument("--seed", type=int, default=0, help="seed of the inputs")
     args = parser.parse_args(argv)
     for checkout in (args.base, args.change):
         if not (checkout / "src" / "lix" / "cli.py").is_file():
@@ -279,7 +279,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="lix-parity-") as tmp:
         directory = Path(tmp) / "inputs"
         directory.mkdir()
-        cases = _write_inputs(directory, args.seed)
+        cases = _write_inputs(directory)
         cases_path = Path(tmp) / "cases.json"
         cases_path.write_text(json.dumps({"dir": str(directory), "cases": cases}),
                               encoding="utf-8")
