@@ -224,6 +224,8 @@ def _cmd_lix(args, out, err):
         i = bars.dates.index(wanted)
         bars = bars[i:i + 1]
     results = lix_daily_many(bars)
+    if args.date and isinstance(results[0], errors.LixError):  # the one day asked for
+        raise type(results[0])(f"{bars.dates[0]}: {results[0]}")
     dates, values = bars.dates, results
     if not {float}.issuperset(map(type, results)):  # some day has no index
         dates, values = [], []

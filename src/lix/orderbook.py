@@ -199,8 +199,8 @@ def _book_terms(books: Books):
         gap = vwap_ask - vwap_bid
         mid = (books.price[:, 1, 0] + books.price[:, 0, 0]) / 2
         volume = bid_volume + ask_volume
-        undefined = ((bid_volume == 0) | (ask_volume == 0) | ~np.isfinite(vwap).all(axis=1)
-                     | (vwap_ask <= vwap_bid))
+        undefined = ((bid_volume == 0) | (ask_volume == 0)
+                     | ~(np.isfinite(vwap) & (vwap > 0)).all(axis=1) | (vwap_ask <= vwap_bid))
     faults = {}
     for i in undefined.nonzero()[0].tolist():
         at = _at(books, i)
@@ -214,6 +214,12 @@ def _book_terms(books: Books):
         elif not math.isfinite(vwap_ask[i]):
             faults[i] = errors.InvalidParams(
                 f"ask-side VWAP must be finite, got {vwap_ask[i].item()} {at}")
+        elif not vwap_bid[i] > 0:  # price x volume underflowed to 0
+            faults[i] = errors.InvalidParams(
+                f"bid-side VWAP must be positive, got {vwap_bid[i].item()} {at}")
+        elif not vwap_ask[i] > 0:
+            faults[i] = errors.InvalidParams(
+                f"ask-side VWAP must be positive, got {vwap_ask[i].item()} {at}")
         else:
             faults[i] = errors.CrossedBook(
                 f"ask-side VWAP {vwap_ask[i].item()} <= bid-side VWAP "

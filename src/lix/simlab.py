@@ -11,12 +11,15 @@ days, snapshot index averaged over one day) and regresses one on the other.
 All randomness is driven by numpy bit generators keyed as
 SeedSequence([seed, stream]); path chunks use a fixed chunk size so results
 are independent of how work is scheduled. Each chunk of 4096 paths is walked
-a block of paths at a time through one reused buffer of about 1 MiB; the
-chunk's ranges take 8 * len(grid) bytes per path, twice that while summed.
+a block of paths at a time through two reused buffers of about 1 MiB each:
+one helper thread draws the next block into one while the calling thread
+walks the other, with the values unchanged. The chunk's ranges take
+8 * len(grid) bytes per path, twice that while summed.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import datetime
 import enum
 import math
@@ -81,23 +84,29 @@ class PathModel:
             raise errors.InvalidParams(f"seed must be non-negative, got {self.seed}")
 
 
-def _walk(model: PathModel, rng: np.random.Generator, start_price: float,
-          out: np.ndarray) -> np.ndarray:
-    """Fill out, a C-contiguous (rows, steps) array, with prices after each
-    step (the start price excluded), drawing from rng; return it.
-
-    The draw is scaled, shifted by the drift, summed and offset by the start
-    price in place: the same float operations as start + cumsum(vol * z +
-    drift) (or start * exp(...)), so the values are bit-identical to that
-    formula. Draws are sequential, so filling successive row blocks of a
-    matrix from one generator gives the values of filling it at once.
-    """
+def _draw(model: PathModel, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill out with the model's raw draws from rng (zeros for zero
+    volatility); return it. Draws are sequential, so filling successive row
+    blocks of a matrix from one generator gives the values of filling it at
+    once."""
     if model.volatility_per_step == 0:
         out.fill(0.0)
     elif model.kind is WalkKind.STUDENT_T_RETURNS:
         out[...] = rng.standard_t(model.dof, size=out.shape)
     else:
         rng.standard_normal(out=out)
+    return out
+
+
+def _prices(model: PathModel, start_price: float, out: np.ndarray) -> np.ndarray:
+    """Turn out, a C-contiguous (rows, steps) array of _draw's draws, into
+    prices after each step (the start price excluded), in place; return it.
+
+    The draws are scaled, shifted by the drift, summed and offset by the
+    start price in place: the same float operations as start + cumsum(vol *
+    z + drift) (or start * exp(...)), so the values are bit-identical to
+    that formula.
+    """
     out *= model.volatility_per_step
     out += model.drift_per_step
     np.cumsum(out, axis=1, out=out)
@@ -127,8 +136,8 @@ def simulate_paths(model: PathModel, n_paths: int, seed: int | None = None,
     rng = np.random.default_rng(np.random.SeedSequence([s, stream]))
     out = _walk_buffer(model, n_paths, model.steps_per_day + 1)
     out[:, 0] = start_price
-    out[:, 1:] = _walk(model, rng, start_price,
-                       _walk_buffer(model, n_paths, model.steps_per_day))
+    walk = _walk_buffer(model, n_paths, model.steps_per_day)
+    out[:, 1:] = _prices(model, start_price, _draw(model, rng, walk))
     return out
 
 
@@ -170,7 +179,11 @@ def estimate_alpha(model: PathModel, n_paths: int, time_grid) -> AlphaEstimate:
     warning.
 
     Deterministic given (model.seed, n_paths, grid): paths are generated in
-    fixed-size chunks with per-chunk seed streams.
+    fixed-size chunks with per-chunk seed streams. Each chunk is walked a
+    block of about 1 MiB at a time; one helper thread draws the next block
+    into a second buffer meanwhile, in stream order, so the values are those
+    of drawing on one thread. The thread is shut down before the call
+    returns or raises.
     """
     grid = tuple(float(f) for f in time_grid)
     if len(grid) < 2:
@@ -193,25 +206,36 @@ def estimate_alpha(model: PathModel, n_paths: int, time_grid) -> AlphaEstimate:
     # blocks between consecutive steps, accumulated over the blocks and
     # joined with the start price; nothing past the last step is read. The
     # ranges are row-local, so each chunk is walked a block of paths at a
-    # time through one reused buffer; they are summed over the whole chunk
-    # at once, since summing per block would change the rounding.
+    # time, through two buffers in turns: one helper thread draws the next
+    # block into one while this thread walks the other. A block's draw is
+    # submitted only after the previous block's is collected, so one thread
+    # at a time uses the generator and the draws keep their stream order.
+    # The ranges are summed over the whole chunk at once, since summing per
+    # block would change the rounding.
     blocks = np.concatenate(([0], cols[:-1]))
     start_price = 100.0
     block_paths = max(1, _BLOCK_BYTES // (8 * steps))
-    buf = _walk_buffer(model, min(block_paths, n_paths), steps)
+    bufs = [_walk_buffer(model, min(block_paths, n_paths), steps) for _ in range(2)]
     sums = np.zeros(len(grid))
     done = 0
     chunk_index = 0
-    # Prices that overflow are reported by the finite check below.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # Prices that overflow are reported by the finite check below. The
+    # helper only draws: np.errstate holds in the thread that sets it, so
+    # every float op that can overflow stays in this one.
+    with (np.errstate(over="ignore", invalid="ignore"),
+          concurrent.futures.ThreadPoolExecutor(1) as helper):
         while done < n_paths:
             m = min(_CHUNK_PATHS, n_paths - done)
             seq = np.random.SeedSequence([model.seed, chunk_index])
             rng = np.random.default_rng(seq)
             ranges = np.empty((m, len(cols)))
-            for r in range(0, m, block_paths):
-                walk = _walk(model, rng, start_price,
-                             buf[:min(block_paths, m - r)])[:, :cols[-1]]
+            drawn = helper.submit(_draw, model, rng, bufs[0][:m])
+            for k, r in enumerate(range(0, m, block_paths)):
+                z = drawn.result()
+                if r + block_paths < m:
+                    drawn = helper.submit(_draw, model, rng,
+                                          bufs[(k + 1) % 2][:m - r - block_paths])
+                walk = _prices(model, start_price, z)[:, :cols[-1]]
                 hi = np.maximum.accumulate(
                     np.maximum.reduceat(walk, blocks, axis=1), axis=1)
                 lo = np.minimum.accumulate(

@@ -101,3 +101,21 @@ def test_summary_flags_a_larger_share_of_failed_operations():
         assert lines[-2] == "base: 1 of 100 operations failed"
         assert lines[-1] == (f"change: {failed} of {attempted} operations failed"
                              + ("  MORE FAILED" if flagged else ""))
+
+
+@pytest.mark.parametrize("better, deltas, flagged", [
+    ("lower", [-0.1] * 9 + [0.1], True),  # 9/10 wins, median 0.1 better
+    ("lower", [-0.1] * 8 + [0.1] * 2, False),  # 8/10 wins
+    ("lower", [-0.01] * 10, False),  # 10/10 wins within the base quartile distance
+    ("lower", [-0.1] * 9, False),  # fewer than ten pairs
+    ("higher", [0.1] * 10, True),
+    ("higher", [-0.1] * 10, False),
+], ids=["gain", "8-of-10", "within-spread", "9-pairs", "higher", "higher-worse"])
+def test_summary_flags_a_gain_by_the_claim_rule(better, deltas, flagged):
+    # ten base runs 1.00, 1.01, ..., 1.09: median 1.045, quartiles [1.0225, 1.0675]
+    base = [1 + i / 100 for i in range(len(deltas))]
+    runs = {"base": [_run(wall_s=b) for b in base],
+            "change": [_run(wall_s=b + d) for b, d in zip(base, deltas)]}
+    line = ab.summarize([{"name": "wall_s", "better": better, "bound": 0.25}], runs)[1]
+    assert line.endswith("  GAIN") == flagged
+    assert "OVER BOUND" not in line and "UNRESOLVED" not in line

@@ -190,6 +190,19 @@ class TestLixiCommand:
                       "--adv-from", write(tmp_path, "adv.csv", ADV_BARS)] + flags)
         assert result == (2, "", "error: bid-side VWAP must be finite, got inf (t=0.0)\n")
 
+    @pytest.mark.parametrize("flags", [[], ["--decompose"]])
+    @pytest.mark.parametrize("rows, side", [
+        ("3,B,1,0.0005,5e-324\n3,A,1,0.0015,5e-324\n", "bid"),
+        ("3,B,1,0.0005,1\n3,A,1,0.0015,5e-324\n", "ask"),
+    ], ids=["both", "ask"])
+    def test_underflowing_vwaps_are_not_called_crossed(self, tmp_path, rows, side, flags):
+        # price x volume underflows to 0, though the best ask is above the
+        # best bid: a VWAP of 0.0 is not a price, and the book is not crossed
+        book = "timestamp,side,level,price,volume\n" + rows
+        result = run(["lixi", write(tmp_path, "book.csv", book),
+                      "--adv-from", write(tmp_path, "adv.csv", ADV_BARS)] + flags)
+        assert result == (2, "", f"error: {side}-side VWAP must be positive, got 0.0 (t=3.0)\n")
+
     @pytest.mark.parametrize("rows, shown", [
         # the ask side's price x volume overflows
         ("0,B,1,1,1\n0,A,1,1e300,1e300\n", "ask-side VWAP must be finite, got inf"),

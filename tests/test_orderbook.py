@@ -211,7 +211,7 @@ class TestBooksKernel:
         assert [(type(v).__name__, str(v)) for v in got[1:4]] == [
             ("EmptySide", "ask side is empty (t=0.0)"),
             ("EmptySide", "bid side is empty (t=0.0)"),
-            ("CrossedBook", "ask-side VWAP 0.0 <= bid-side VWAP 0.0 (t=3.0)")]
+            ("InvalidParams", "bid-side VWAP must be positive, got 0.0 (t=3.0)")]
         assert got[0] == lixi(snaps[0], AdvContext(10)).value
         assert got[4] == lixi(snaps[4], AdvContext(10)).value
 

@@ -1,6 +1,9 @@
+import contextlib
 import dataclasses
 import datetime
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -226,6 +229,62 @@ class TestEstimateAlpha:
             estimate_alpha(model, 1, GRID)
         with pytest.raises(errors.InvalidParams, match="steps_per_day"):
             simulate_paths(model, 1)
+
+    @pytest.mark.parametrize("model, error", [
+        (RW, None),
+        (PathModel(kind=WalkKind.GAUSSIAN_RETURNS, steps_per_day=10,
+                   volatility_per_step=100.0, seed=0), errors.InvalidParams),
+        (PathModel(kind=WalkKind.ARITHMETIC_RANDOM_WALK, steps_per_day=100,
+                   volatility_per_step=0.0, seed=0), errors.ZeroRange),
+    ], ids=["result", "overflow", "flat"])
+    def test_no_thread_outlives_the_call(self, model, error):
+        before = threading.active_count()
+        with contextlib.nullcontext() if error is None else pytest.raises(error):
+            estimate_alpha(model, 1000, GRID)
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_a_fault_mid_chunk(self, monkeypatch):
+        # RW's blocks are 262 paths, so the fault in the second block's walk
+        # leaves the third block's draw running on the helper thread.
+        real = simlab._prices
+        walked = []
+
+        def failing_second_block(*args):
+            walked.append(1)
+            if len(walked) == 2:
+                raise errors.InvalidParams("synthetic failure")
+            return real(*args)
+
+        monkeypatch.setattr(simlab, "_prices", failing_second_block)
+        before = threading.active_count()
+        with pytest.raises(errors.InvalidParams, match="synthetic failure"):
+            estimate_alpha(RW, 1000, GRID)
+        assert threading.active_count() == before
+
+    def test_concurrent_calls_keep_their_values(self):
+        # Four callers, each with its own helper, switching threads often: a
+        # draw that lands in the buffer being walked would change a value.
+        model, n_paths, grid = ORACLE_CASES["rw_paths_B+1"]
+        n_paths *= 3  # four blocks, so each buffer is drawn into twice
+        expected = alpha_oracle(model, n_paths, grid)
+        got = []
+
+        def call():
+            est = estimate_alpha(model, n_paths, grid)
+            got.append((est.alpha_hat, est.stderr))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=call) for _ in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert got == [expected] * 4
 
 
 class TestPathModelValidation:

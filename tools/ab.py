@@ -17,6 +17,9 @@ fraction of the base median) is flagged `OVER BOUND`. A metric whose base
 runs spread wider than its bound (quartile distance over `bound` times the
 base median) is flagged `UNRESOLVED`, unless every change run beats every
 base run: that spread cannot tell a change within the bound from one past it.
+A metric is flagged `GAIN` when, over at least ten pairs, the change won at
+least nine tenths of them and its median is better than the base median by
+more than the base's quartile distance: the rule for claiming a gain.
 The last two lines count each side's failed operations; the change's is
 flagged `MORE FAILED` when a larger share of its operations failed.
 """
@@ -70,9 +73,10 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 def summarize(metrics: list[dict], runs: dict[str, list[dict]]) -> list[str]:
     """One line per declared metric present in the runs, flagged when the
     change median is worse than the base's by more than the metric's bound,
-    or when the base's quartile distance exceeds the bound, unless every
-    change run beats every base run; then each side's failed operations,
-    the change's flagged when a larger share of them failed."""
+    when the base's quartile distance exceeds the bound (unless every change
+    run beats every base run), or when the change meets the gain rule; then
+    each side's failed operations, the change's flagged when a larger share
+    of them failed."""
     lines = [f"{'metric':<16}{'base median [q1, q3]':>34}{'change median [q1, q3]':>34}"
              f"{'change':>9}{'wins':>8}"]
     for m in metrics:
@@ -92,6 +96,8 @@ def summarize(metrics: list[dict], runs: dict[str, list[dict]]) -> list[str]:
             beats_all = min(sign * c for c in change) > max(sign * b for b in base)
             if b3 - b1 > m["bound"] * abs(b2) and not beats_all:
                 flags += f"  UNRESOLVED: base spread over {m['bound']:.0%}"
+        if len(base) >= 10 and 10 * wins >= 9 * len(base) and sign * (c2 - b2) > b3 - b1:
+            flags += "  GAIN"
         lines.append(f"{name:<16}{f'{b2:.4g} [{b1:.4g}, {b3:.4g}]':>34}"
                      f"{f'{c2:.4g} [{c1:.4g}, {c3:.4g}]':>34}{rel:>+9.1%}"
                      f"{f'{wins}/{len(base)}':>8}{flags}")
