@@ -196,6 +196,8 @@ def estimate_alpha(model: PathModel, n_paths: int, time_grid) -> AlphaEstimate:
         raise errors.InvalidParams("n_paths must be positive")
 
     steps = model.steps_per_day
+    block_paths = max(1, _BLOCK_BYTES // (8 * steps))
+    bufs = [_walk_buffer(model, min(block_paths, n_paths), steps) for _ in range(2)]
     idx = np.array([max(1, round(f * steps)) for f in grid])
     cols, inv = np.unique(idx, return_inverse=True)
     if len(cols) != len(idx):
@@ -214,8 +216,6 @@ def estimate_alpha(model: PathModel, n_paths: int, time_grid) -> AlphaEstimate:
     # block would change the rounding.
     blocks = np.concatenate(([0], cols[:-1]))
     start_price = 100.0
-    block_paths = max(1, _BLOCK_BYTES // (8 * steps))
-    bufs = [_walk_buffer(model, min(block_paths, n_paths), steps) for _ in range(2)]
     sums = np.zeros(len(grid))
     done = 0
     chunk_index = 0

@@ -10,6 +10,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PARITY = ROOT / "tools" / "parity.py"
+sys.path.insert(0, str(ROOT / "tools"))
+import cli_cases  # noqa: E402
 
 
 def _parity(*args):
@@ -21,7 +23,7 @@ def test_a_checkout_matches_itself():
     proc = _parity(ROOT, ROOT)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     count = int(re.fullmatch(r"parity: (\d+) cases, 0 differ\n", proc.stdout).group(1))
-    assert count >= 300
+    assert count == len(cli_cases.CASES)
 
 
 def test_a_changed_message_is_named(tmp_path):
