@@ -9,12 +9,9 @@ decades of liquidity, measures each one both ways (daily index averaged over
 days, snapshot index averaged over one day) and regresses one on the other.
 
 All randomness is driven by numpy bit generators keyed as
-SeedSequence([seed, stream]); path chunks use a fixed chunk size so results
-are independent of how work is scheduled. Each chunk of 4096 paths is walked
-a block of paths at a time through two reused buffers of about 1 MiB each:
-one helper thread draws the next block into one while the calling thread
-walks the other, with the values unchanged. The chunk's ranges take
-8 * len(grid) bytes per path, twice that while summed.
+SeedSequence([seed, stream]). estimate_alpha walks ~1 MiB chunks of paths,
+each from its own stream, on two worker threads; its values depend on the
+chunk size (_BLOCK_BYTES) but not on scheduling or the worker count.
 """
 
 from __future__ import annotations
@@ -23,6 +20,7 @@ import concurrent.futures
 import datetime
 import enum
 import math
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,8 +29,9 @@ from . import errors
 from .measures import DailyBar, IntradayWindow, ScalingParams, _finite_index, lix_daily
 from .orderbook import AdvContext, BookLevel, Books, OrderBookSnapshot, lixi_many
 
-_CHUNK_PATHS = 4096  # fixed so chunking never changes results
-_BLOCK_BYTES = 2 ** 20  # a block of walked paths fits in a 2 MiB L2 cache
+_BLOCK_BYTES = 2 ** 20  # a chunk of walked paths fits in a 2 MiB L2 cache
+_WORKERS = 2  # threads walking estimate_alpha's chunks; no value depends on it
+_ROUND_CHUNKS = 1024  # chunk sums held at once, bounding their memory; no value depends on it
 
 # Fixed settings of every synthetic session: its length in seconds (8
 # hours), book depth as a fraction of daily volume, the log-scales of the
@@ -178,12 +177,12 @@ def estimate_alpha(model: PathModel, n_paths: int, time_grid) -> AlphaEstimate:
     buffer too large to allocate, raises InvalidParams, with no numpy
     warning.
 
-    Deterministic given (model.seed, n_paths, grid): paths are generated in
-    fixed-size chunks with per-chunk seed streams. Each chunk is walked a
-    block of about 1 MiB at a time; one helper thread draws the next block
-    into a second buffer meanwhile, in stream order, so the values are those
-    of drawing on one thread. The thread is shut down before the call
-    returns or raises.
+    Deterministic given (model.seed, n_paths, grid): chunk c of
+    max(1, _BLOCK_BYTES // (8 * steps)) paths draws from seed stream c and
+    chunk sums are added in chunk order, so the values of a call of more
+    than one chunk depend on _BLOCK_BYTES, not on scheduling or the worker
+    count. Two threads walk alternate chunks through a buffer each, stop
+    before their next chunk after a fault, and end before the call does.
     """
     grid = tuple(float(f) for f in time_grid)
     if len(grid) < 2:
@@ -196,8 +195,10 @@ def estimate_alpha(model: PathModel, n_paths: int, time_grid) -> AlphaEstimate:
         raise errors.InvalidParams("n_paths must be positive")
 
     steps = model.steps_per_day
-    block_paths = max(1, _BLOCK_BYTES // (8 * steps))
-    bufs = [_walk_buffer(model, min(block_paths, n_paths), steps) for _ in range(2)]
+    chunk_paths = max(1, _BLOCK_BYTES // (8 * steps))
+    n_chunks = -(-n_paths // chunk_paths)
+    workers = min(_WORKERS, n_chunks)
+    bufs = [_walk_buffer(model, min(chunk_paths, n_paths), steps) for _ in range(workers)]
     idx = np.array([max(1, round(f * steps)) for f in grid])
     cols, inv = np.unique(idx, return_inverse=True)
     if len(cols) != len(idx):
@@ -206,45 +207,44 @@ def estimate_alpha(model: PathModel, n_paths: int, time_grid) -> AlphaEstimate:
             f"of {steps}; use more steps or a coarser grid")
     # The running extremes at the sorted grid steps are the extremes of the
     # blocks between consecutive steps, accumulated over the blocks and
-    # joined with the start price; nothing past the last step is read. The
-    # ranges are row-local, so each chunk is walked a block of paths at a
-    # time, through two buffers in turns: one helper thread draws the next
-    # block into one while this thread walks the other. A block's draw is
-    # submitted only after the previous block's is collected, so one thread
-    # at a time uses the generator and the draws keep their stream order.
-    # The ranges are summed over the whole chunk at once, since summing per
-    # block would change the rounding.
+    # joined with the start price; nothing past the last step is read.
     blocks = np.concatenate(([0], cols[:-1]))
     start_price = 100.0
     sums = np.zeros(len(grid))
-    done = 0
-    chunk_index = 0
-    # Prices that overflow are reported by the finite check below. The
-    # helper only draws: np.errstate holds in the thread that sets it, so
-    # every float op that can overflow stays in this one.
-    with (np.errstate(over="ignore", invalid="ignore"),
-          concurrent.futures.ThreadPoolExecutor(1) as helper):
-        while done < n_paths:
-            m = min(_CHUNK_PATHS, n_paths - done)
-            seq = np.random.SeedSequence([model.seed, chunk_index])
-            rng = np.random.default_rng(seq)
-            ranges = np.empty((m, len(cols)))
-            drawn = helper.submit(_draw, model, rng, bufs[0][:m])
-            for k, r in enumerate(range(0, m, block_paths)):
-                z = drawn.result()
-                if r + block_paths < m:
-                    drawn = helper.submit(_draw, model, rng,
-                                          bufs[(k + 1) % 2][:m - r - block_paths])
-                walk = _prices(model, start_price, z)[:, :cols[-1]]
-                hi = np.maximum.accumulate(
-                    np.maximum.reduceat(walk, blocks, axis=1), axis=1)
-                lo = np.minimum.accumulate(
-                    np.minimum.reduceat(walk, blocks, axis=1), axis=1)
-                ranges[r:r + len(walk)] = (np.maximum(hi, start_price)
-                                           - np.minimum(lo, start_price))
-            sums += ranges[:, inv].sum(axis=0)
-            done += m
-            chunk_index += 1
+    stop = threading.Event()
+
+    def walk_chunks(buf, chunks, rows):
+        # np.errstate holds per thread; overflow is reported by the finite check.
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                for c, row in zip(chunks, rows):
+                    if stop.is_set():
+                        return
+                    rng = np.random.default_rng(np.random.SeedSequence([model.seed, c]))
+                    z = _draw(model, rng, buf[:min(chunk_paths, n_paths - c * chunk_paths)])
+                    walk = _prices(model, start_price, z)[:, :cols[-1]]
+                    hi = np.maximum.accumulate(
+                        np.maximum.reduceat(walk, blocks, axis=1), axis=1)
+                    lo = np.minimum.accumulate(
+                        np.minimum.reduceat(walk, blocks, axis=1), axis=1)
+                    ranges = np.maximum(hi, start_price) - np.minimum(lo, start_price)
+                    row[...] = ranges[:, inv].sum(axis=0)
+            except BaseException:
+                stop.set()  # the other worker starts no further chunk
+                raise
+
+    with concurrent.futures.ThreadPoolExecutor(workers) as pool:
+        try:
+            for first in range(0, n_chunks, _ROUND_CHUNKS):
+                chunks = range(first, min(first + _ROUND_CHUNKS, n_chunks))
+                rows = np.empty((len(chunks), len(grid)))
+                for future in [pool.submit(walk_chunks, bufs[w], chunks[w::workers],
+                                           rows[w::workers]) for w in range(workers)]:
+                    future.result()
+                for row in rows:
+                    sums += row
+        finally:
+            stop.set()  # an interrupt while waiting stops the workers too
 
     mean_range = sums / n_paths
     if not np.all(np.isfinite(mean_range)):

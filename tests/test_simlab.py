@@ -2,8 +2,10 @@ import contextlib
 import dataclasses
 import datetime
 import math
+import signal
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -43,14 +45,21 @@ def paths_oracle(model, n_paths, seed, start_price, stream):
     return out
 
 
+def chunk_paths(model):
+    """estimate_alpha's chunk size B: the paths of one ~1 MiB walk block."""
+    return max(1, simlab._BLOCK_BYTES // (8 * model.steps_per_day))
+
+
 def alpha_oracle(model, n_paths, grid):
     """(alpha_hat, stderr) from running extremes over every step of whole
-    simulate_paths chunks, read at the realised grid steps."""
+    simulate_paths chunks of B paths, read at the realised grid steps and
+    added in chunk order."""
     steps = model.steps_per_day
     idx = np.array([max(1, round(f * steps)) for f in grid])
     sums = np.zeros(len(grid))
-    for chunk, done in enumerate(range(0, n_paths, 4096)):
-        paths = simulate_paths(model, min(4096, n_paths - done), stream=chunk)
+    b = chunk_paths(model)
+    for chunk, done in enumerate(range(0, n_paths, b)):
+        paths = simulate_paths(model, min(b, n_paths - done), stream=chunk)
         hi = np.maximum.accumulate(paths, axis=1)
         lo = np.minimum.accumulate(paths, axis=1)
         sums += (hi[:, idx] - lo[:, idx]).sum(axis=0)
@@ -70,19 +79,20 @@ ORACLE_CASES = {
                              volatility_per_step=0.0, drift_per_step=0.01, seed=0),
                    50, GRID),
     "unsorted_grid": (RW, 300, [0.7, 0.05, 1.0, 0.333, 0.5, 0.12]),
+    # B is 3276 paths at 40 steps: a full chunk and one of 857 paths.
     "two_chunks": (PathModel(kind=WalkKind.ARITHMETIC_RANDOM_WALK, steps_per_day=40,
                              volatility_per_step=0.01, seed=8), 4096 + 37, GRID),
 }
-# Path counts at the edges of estimate_alpha's walk blocks of B paths, one
-# chunk and two.
+# Path counts at the edges of estimate_alpha's chunks of B paths: one chunk,
+# two, and three and four split unevenly over the two workers.
 for _name, _model in {
         "rw": PathModel(kind=WalkKind.ARITHMETIC_RANDOM_WALK, steps_per_day=500,
                         volatility_per_step=0.01, seed=9),
         "t3": PathModel(kind=WalkKind.STUDENT_T_RETURNS, dof=3, steps_per_day=1000,
                         volatility_per_step=0.001, seed=10)}.items():
-    _b = simlab._BLOCK_BYTES // (8 * _model.steps_per_day)
+    _b = chunk_paths(_model)
     for _label, _n in {"1": 1, "B-1": _b - 1, "B": _b, "B+1": _b + 1,
-                       "4096+B+1": 4096 + _b + 1}.items():
+                       "2B+1": 2 * _b + 1, "3B+1": 3 * _b + 1}.items():
         ORACLE_CASES[f"{_name}_paths_{_label}"] = (_model, _n, GRID)
 
 
@@ -205,8 +215,8 @@ class TestEstimateAlpha:
                 estimate_alpha(model, 10, GRID)
         assert caught == []
 
-    def test_memory_is_one_block_not_one_chunk(self):
-        # one chunk of 4096 paths x 1000 steps would be a 32.8 MB buffer
+    def test_memory_is_one_buffer_per_worker(self):
+        # 4096 paths x 1000 steps are 32.8 MB; two 131-path buffers are 2.1 MB
         model = dataclasses.replace(RW, steps_per_day=1000)
         tracemalloc.start()
         try:
@@ -244,25 +254,75 @@ class TestEstimateAlpha:
         assert threading.active_count() == before
 
     def test_no_thread_outlives_a_fault_mid_chunk(self, monkeypatch):
-        # RW's blocks are 262 paths, so the fault in the second block's walk
-        # leaves the third block's draw running on the helper thread.
-        real = simlab._prices
-        walked = []
+        # RW's chunks are 262 paths, so 100 of them leave many chunks to walk
+        # when chunk 2 (the first worker's) or chunk 3 (the second's) raises,
+        # or when chunk 2 interrupts the waiting caller. Each walk after that
+        # is slowed, so a worker that goes on past the chunk it has begun
+        # shows.
+        real_draw, real_prices = simlab._draw, simlab._prices
+        current = threading.local()
 
-        def failing_second_block(*args):
-            walked.append(1)
-            if len(walked) == 2:
-                raise errors.InvalidParams("synthetic failure")
-            return real(*args)
+        def draw(model, rng, out):
+            current.chunk = rng.bit_generator.seed_seq.entropy[1]
+            return real_draw(model, rng, out)
 
-        monkeypatch.setattr(simlab, "_prices", failing_second_block)
-        before = threading.active_count()
+        def throw(error):
+            raise error
+
+        def interrupt_caller():
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+
+        monkeypatch.setattr(simlab, "_draw", draw)
+        handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            for failing, error, fault in [
+                    (2, errors.InvalidParams, lambda: throw(errors.InvalidParams("synthetic"))),
+                    (3, KeyboardInterrupt, lambda: throw(KeyboardInterrupt())),
+                    (2, KeyboardInterrupt, interrupt_caller)]:
+                faulted = threading.Event()
+                walked_after = []
+
+                def failing_chunk(*args):
+                    if faulted.is_set():
+                        walked_after.append(threading.get_ident())
+                        time.sleep(0.05)
+                    if current.chunk == failing:
+                        faulted.set()
+                        fault()
+                    return real_prices(*args)
+
+                monkeypatch.setattr(simlab, "_prices", failing_chunk)
+                before = threading.active_count()
+                with pytest.raises(error):
+                    estimate_alpha(RW, 100 * chunk_paths(RW), GRID)
+                assert threading.active_count() == before
+                assert all(walked_after.count(t) <= 1 for t in walked_after), failing
+        finally:
+            signal.signal(signal.SIGINT, handler)
+
+    @pytest.mark.parametrize("setting, value", [
+        ("_WORKERS", 1), ("_WORKERS", 3),
+        ("_ROUND_CHUNKS", 1), ("_ROUND_CHUNKS", 2), ("_ROUND_CHUNKS", 3)])
+    @pytest.mark.parametrize("case", ["rw_paths_3B+1", "t3_paths_3B+1"])
+    def test_values_do_not_depend_on_the_worker_count_or_round_size(
+            self, monkeypatch, case, setting, value):
+        model, n_paths, grid = ORACLE_CASES[case]
+        default = estimate_alpha(model, n_paths, grid)
+        monkeypatch.setattr(simlab, setting, value)
+        other = estimate_alpha(model, n_paths, grid)
+        assert (other.alpha_hat, other.stderr) == (default.alpha_hat, default.stderr)
+
+    def test_huge_path_count_holds_one_round_of_sums(self, monkeypatch):
+        # 10**15 paths of RW are 3.8e12 chunks, whose sums would take 300 TB.
+        def failing_walk(*args):
+            raise errors.InvalidParams("synthetic failure")
+
+        monkeypatch.setattr(simlab, "_prices", failing_walk)
         with pytest.raises(errors.InvalidParams, match="synthetic failure"):
-            estimate_alpha(RW, 1000, GRID)
-        assert threading.active_count() == before
+            estimate_alpha(RW, 10 ** 15, GRID)
 
     def test_concurrent_calls_keep_their_values(self):
-        # Four callers, each with its own helper, switching threads often: a
+        # Four callers, each with its own workers, switching threads often: a
         # draw that lands in the buffer being walked would change a value.
         model, n_paths, grid = ORACLE_CASES["rw_paths_B+1"]
         n_paths *= 3  # four blocks, so each buffer is drawn into twice
