@@ -12,6 +12,14 @@ All randomness is driven by numpy bit generators keyed as
 SeedSequence([seed, stream]). estimate_alpha walks ~1 MiB chunks of paths,
 each from its own stream, on two worker threads; its values depend on the
 chunk size (_BLOCK_BYTES) but not on scheduling or the worker count.
+
+A session draws its walk and its snapshot jitters from streams [day seed,
+0] and [day seed, 1] (_day_draws), and one function (_ladders) lays out
+its books. synth_session builds records from them. The study builds its
+days as arrays instead: each instrument's days in blocks of at most
+_BLOCK_BYTES of walk, checked with the masks of the records' own checks,
+and the last counted day's full book straight into Books. Its seeds and
+values are those of building every day with synth_session.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from __future__ import annotations
 import concurrent.futures
 import datetime
 import enum
+import functools
 import math
 import threading
 from dataclasses import dataclass, replace
@@ -26,7 +35,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import errors
-from .measures import DailyBar, IntradayWindow, ScalingParams, _finite_index, lix_daily
+from .measures import (Bars, DailyBar, IntradayWindow, ScalingParams, _finite_index,
+                       lix_daily_many)
 from .orderbook import AdvContext, BookLevel, Books, OrderBookSnapshot, lixi_many
 
 _BLOCK_BYTES = 2 ** 20  # a chunk of walked paths fits in a 2 MiB L2 cache
@@ -283,17 +293,70 @@ class BookParams:
             raise errors.InvalidParams("need at least one snapshot and window")
 
 
-def _snapshot_at(mid: float, total_depth: float, vwap_spread: float,
-                 levels: int, timestamp: float) -> OrderBookSnapshot:
-    # Level prices mid +/- (spread/2) * 2i/(k+1) with equal volumes give
-    # side VWAPs exactly spread/2 away from mid and a strictly ordered book.
-    per_level = total_depth / (2 * levels)
-    half = vwap_spread / 2
-    bids = tuple(BookLevel(mid - half * 2 * i / (levels + 1), per_level)
-                 for i in range(1, levels + 1))
-    asks = tuple(BookLevel(mid + half * 2 * i / (levels + 1), per_level)
-                 for i in range(1, levels + 1))
-    return OrderBookSnapshot(timestamp=timestamp, bids=bids, asks=asks)
+def _day_draws(model: PathModel, day_seed: int, row: np.ndarray,
+               n_snapshots: int) -> np.ndarray:
+    """Fill row, one session's (steps,) walk, with its draws from seed
+    stream [day_seed, 0]; return the (n_snapshots, 2) snapshot jitters from
+    stream [day_seed, 1], each snapshot's depth jitter then its spread
+    jitter. Every session, alone or in a block of days, is drawn here.
+
+    PCG64 keys a list seed as SeedSequence(list), so the streams are those
+    of default_rng(SeedSequence([day_seed, k])).
+    """
+    _draw(model, np.random.Generator(np.random.PCG64([day_seed, 0])), row)
+    rng = np.random.Generator(np.random.PCG64([day_seed, 1]))
+    return rng.standard_normal((n_snapshots, 2))
+
+
+def _ladders(mid, daily_volume, day_range, jitter, levels: int):
+    """The books of n snapshots: a (n, 2, levels) price array laid out as
+    in Books, and the (n,) volume of each of their levels. mid,
+    daily_volume and day_range (the day's high - low) are sequences of n
+    floats, daily_volume positive; jitter is _day_draws' (n, 2) normals.
+
+    Depth is a jittered _DEPTH_FRACTION of daily volume and the VWAP
+    spread a jittered range over the book's turnover time (BookParams).
+    Level prices mid +/- (spread/2) * 2i/(levels+1) with equal volumes give
+    side VWAPs exactly spread/2 away from mid and a strictly ordered book.
+    Each snapshot's depth and spread are worked out in Python floats, as
+    cheap for synth_session's one-snapshot sessions as for many snapshots;
+    the levels are laid out in numpy, whose + - * / round as Python's do.
+    """
+    terms = []
+    for m, v, r, (z_depth, z_spread) in zip(mid, daily_volume, day_range, jitter.tolist()):
+        depth = v * _DEPTH_FRACTION * math.exp(_DEPTH_JITTER * z_depth)
+        spread = (max(r, _MIN_SPREAD_FRACTION * m) * math.sqrt(depth / v)
+                  * math.exp(_SPREAD_JITTER * z_spread))
+        # The deepest bid sits spread * levels / (levels + 1) below mid, so
+        # this cap keeps it at or above 0.1 * mid at any depth.
+        spread = min(spread, 0.9 * m * (levels + 1) / levels)
+        # the level formula's (spread / 2) * 2: not spread when spread is subnormal
+        terms.append((m, spread / 2 * 2, depth / (2 * levels)))
+    mid, width, level_volume = np.array(terms).reshape(-1, 3).T
+    offset = width[:, None, None] * _signed_levels(levels) / (levels + 1)
+    return mid[:, None, None] + offset, level_volume
+
+
+@functools.cache
+def _signed_levels(levels: int) -> np.ndarray:
+    """Read-only [[-1, ..., -levels], [1, ..., levels]]: a bid's offset comes
+    out negated exactly, and mid + -x is mid - x. Cached: built per call,
+    its numpy calls would weigh on every one-snapshot synth_session."""
+    signed = np.array([[-1.0], [1.0]]) * np.arange(1, levels + 1)
+    signed.setflags(write=False)
+    return signed
+
+
+def _snapshots(walk: np.ndarray, daily_volume: float, day_range: float,
+               jitter: np.ndarray, levels: int):
+    """Timestamps, Books-layout prices and level volumes of a session's
+    len(jitter) snapshots, at steps spread uniformly through the day; walk
+    holds the price after each step (the start price excluded)."""
+    steps, n = len(walk), len(jitter)
+    at = [max(1, round(k * steps / n)) for k in range(1, n + 1)]
+    return ([step / steps * _SESSION_LENGTH for step in at],
+            *_ladders([walk.item(step - 1) for step in at], [daily_volume] * n,
+                      [day_range] * n, jitter, levels))
 
 
 def synth_session(model: PathModel, daily_volume: float, book_params: BookParams,
@@ -309,37 +372,28 @@ def synth_session(model: PathModel, daily_volume: float, book_params: BookParams
     if daily_volume <= 0:
         raise errors.InvalidParams(f"daily_volume must be positive, got {daily_volume}")
     s = model.seed if seed is None else seed
-    rng = np.random.default_rng(np.random.SeedSequence([s, 1]))
-    prices = simulate_paths(model, 1, seed=s, start_price=book_params.start_price)[0]
-    if prices.min() <= 0:
-        raise errors.InvalidParams(
-            "price path crossed zero; lower volatility or drift")
     steps = model.steps_per_day
-    levels = book_params.levels
-
-    bar = DailyBar(instrument_id=instrument_id, date=day,
-                   open=float(prices[0]), high=float(prices.max()),
-                   low=float(prices.min()), close=float(prices[-1]),
-                   volume=float(daily_volume))
-    realized_range = bar.high - bar.low
-
-    snapshots = []
-    for k in range(1, book_params.n_snapshots + 1):
-        step = max(1, round(k * steps / book_params.n_snapshots))
-        t = step / steps * _SESSION_LENGTH
-        mid = float(prices[step])
-        depth = daily_volume * _DEPTH_FRACTION
-        depth *= math.exp(_DEPTH_JITTER * rng.standard_normal())
-        spread = max(realized_range, _MIN_SPREAD_FRACTION * mid) \
-            * math.sqrt(depth / daily_volume)
-        spread *= math.exp(_SPREAD_JITTER * rng.standard_normal())
-        # The deepest bid sits spread * levels / (levels + 1) below mid, so
-        # this cap keeps it at or above 0.1 * mid at any depth.
-        spread = min(spread, 0.9 * mid * (levels + 1) / levels)
-        snapshots.append(_snapshot_at(mid, depth, spread, levels, t))
-
+    start = book_params.start_price
+    prices = _walk_buffer(model, 1, steps + 1)[0]
+    prices[0] = start
+    jitter = _day_draws(model, s, prices[1:], book_params.n_snapshots)
+    _prices(model, start, prices[None, 1:])
     hi = np.maximum.accumulate(prices)
     lo = np.minimum.accumulate(prices)
+    low = float(lo[-1])
+    if low <= 0:
+        raise errors.InvalidParams(
+            "price path crossed zero; lower volatility or drift")
+
+    bar = DailyBar(instrument_id=instrument_id, date=day,
+                   open=float(prices[0]), high=float(hi[-1]),
+                   low=low, close=float(prices[-1]),
+                   volume=float(daily_volume))
+    times, price, level_volume = _snapshots(prices[1:], daily_volume, bar.high - bar.low,
+                                            jitter, book_params.levels)
+    snapshots = [OrderBookSnapshot(t, *(tuple([BookLevel(p, v) for p in side]) for side in sides))
+                 for t, sides, v in zip(times, price.tolist(), level_volume.tolist())]
+
     windows = []
     for k in range(1, book_params.n_windows + 1):
         step = max(2, round(k * steps / book_params.n_windows))
@@ -440,6 +494,75 @@ def default_universe(n_instruments: int = 50, start_price: float = 100.0,
     return universe
 
 
+def _study_days(inst: InstrumentParams, book: BookParams, inst_rng, days: int):
+    """The daily LIX and volume of each of `inst`'s days that count, in day
+    order, and (volume, day seed) of the last of them, or None.
+
+    A day counts when its session with a one-snapshot book and one window
+    would build and its bar has a daily index. The days are walked in
+    blocks of at most _BLOCK_BYTES of walk, one row a day, and each block's
+    bars and books are checked with the masks of the records' own checks.
+    """
+    model, start = inst.model, book.start_price
+    steps = model.steps_per_day
+    walk = _walk_buffer(model, min(days, max(1, _BLOCK_BYTES // (8 * steps))), steps)
+    lix_values, volumes, last = [], [], None
+    for first in range(0, days, len(walk)):
+        block = walk[:min(len(walk), days - first)]
+        day_volumes, day_seeds, jitters = [], [], []
+        for row in block:
+            volume = inst.base_volume
+            if inst.volume_jitter > 0:
+                volume *= math.exp(inst.volume_jitter * inst_rng.standard_normal())
+            day_seeds.append(int(inst_rng.integers(0, 2 ** 62)))
+            day_volumes.append(volume)
+            jitters.append(_day_draws(model, day_seeds[-1], row, 1))
+        with np.errstate(all="ignore"):  # a non-finite day fails the checks below
+            prices = _prices(model, start, block)
+            high = np.maximum(prices.max(axis=1), start)
+            low = np.minimum(prices.min(axis=1), start)
+        close = prices[:, -1]
+        volume = np.array(day_volumes, dtype=float)
+        open_ = np.full(len(block), float(start))
+        # The one window spans the whole day, so it asks low <= close <=
+        # high and a volume >= 0, which the bar's checks already ask.
+        kept = ((volume > 0) & (low > 0)
+                & ~DailyBar.rejects(open_, high, low, close, volume)).nonzero()[0]
+        # The one snapshot sits at the close.
+        price, level_volume = _ladders(close[kept].tolist(), [day_volumes[k] for k in kept],
+                                       (high - low)[kept].tolist(),
+                                       np.concatenate(jitters)[kept], book.levels)
+        level_volume = np.broadcast_to(level_volume[:, None, None], price.shape)
+        kept = kept[~BookLevel.rejects(price, level_volume).any(axis=(1, 2))
+                    & ~OrderBookSnapshot.rejects(price, level_volume)].tolist()
+        bars = Bars(inst.instrument_id,
+                    tuple(datetime.date(2020, 1, 1) + datetime.timedelta(days=first + k)
+                          for k in kept),
+                    open_[kept], high[kept], low[kept], close[kept], volume[kept])
+        for k, value in zip(kept, lix_daily_many(bars)):
+            if not isinstance(value, errors.LixError):
+                lix_values.append(value)
+                volumes.append(day_volumes[k])
+                last = (day_volumes[k], day_seeds[k])
+    return lix_values, volumes, last
+
+
+def _full_books(model: PathModel, book: BookParams, volume: float, day_seed: int):
+    """The book.n_snapshots snapshots of the session seeded day_seed, as
+    Books, or None when a level or book of them would be refused."""
+    walk = _walk_buffer(model, 1, model.steps_per_day)
+    jitter = _day_draws(model, day_seed, walk[0], book.n_snapshots)
+    prices = _prices(model, book.start_price, walk)[0]
+    day_range = float(np.maximum(prices.max(), book.start_price)
+                      - np.minimum(prices.min(), book.start_price))
+    times, price, level_volume = _snapshots(prices, volume, day_range, jitter, book.levels)
+    level_volume = np.broadcast_to(level_volume[:, None, None], price.shape)
+    if (BookLevel.rejects(price, level_volume).any()
+            or OrderBookSnapshot.rejects(price, level_volume).any()):
+        return None
+    return Books(np.array(times), price, level_volume)
+
+
 def lixi_vs_lix_study(universe, days: int, seed: int,
                       snapshots_per_day: int = 100):
     """Regress one-day mean snapshot liquidity on multi-day mean daily index.
@@ -452,6 +575,12 @@ def lixi_vs_lix_study(universe, days: int, seed: int,
     no such day, or whose last such day fails with the full book or yields
     no snapshot index, are dropped and counted.
 
+    The days are built as arrays, not as synth_session records: each
+    instrument's days in blocks of walk rows (_study_days), and the last
+    counted day once more with the full book, straight into Books. The
+    seeds, the draws and every value are those of building each day with
+    synth_session, so the values do not depend on the block size.
+
     Returns (RegressionReport, [StudyPoint]).
     """
     if days < 1:
@@ -463,40 +592,19 @@ def lixi_vs_lix_study(universe, days: int, seed: int,
     for i, inst in enumerate(universe):
         inst_rng = np.random.default_rng(np.random.SeedSequence([seed, 2, i]))
         book = replace(inst.book, n_snapshots=snapshots_per_day, n_windows=1)
-        # Only the last good day's snapshots are read, so every day is first
-        # built with a one-snapshot book and that day is rebuilt with the
-        # full one. The snapshot jitter has its own seed stream, so the
-        # rebuilt day has the same bar and the snapshots it would have had.
-        bar_only = replace(book, n_snapshots=1)
-        lix_values = []
-        volumes = []
-        last = None
-        for d in range(days):
-            volume = inst.base_volume
-            if inst.volume_jitter > 0:
-                volume *= math.exp(inst.volume_jitter * inst_rng.standard_normal())
-            day_seed = int(inst_rng.integers(0, 2 ** 62))
-            date = datetime.date(2020, 1, 1) + datetime.timedelta(days=d)
-            try:
-                bar, _, _ = synth_session(inst.model, volume, bar_only, seed=day_seed,
-                                          instrument_id=inst.instrument_id, day=date)
-                lix_values.append(lix_daily(bar).value)
-                volumes.append(volume)
-                last = (volume, day_seed, date)
-            except errors.LixError:
-                continue
+        lix_values, volumes, last = _study_days(inst, book, inst_rng, days)
         if last is None:
             dropped += 1
             continue
-        volume, day_seed, date = last
-        try:
-            _, last_day, _ = synth_session(inst.model, volume, book, seed=day_seed,
-                                           instrument_id=inst.instrument_id, day=date)
-        except errors.LixError:
+        # Only the last counted day's snapshots are read. The snapshot
+        # jitter has its own seed stream, so the rebuilt day has the same
+        # bar and the snapshots it would have had.
+        books = _full_books(inst.model, book, *last)
+        if books is None:
             dropped += 1
             continue
         ctx = AdvContext(adv=sum(volumes) / len(volumes))
-        lixi_values = [v for v in lixi_many(Books.of(last_day), ctx, params)
+        lixi_values = [v for v in lixi_many(books, ctx, params)
                        if not isinstance(v, errors.LixError)]
         if not lixi_values:
             dropped += 1

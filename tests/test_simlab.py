@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import datetime
+import itertools
 import math
 import signal
 import sys
@@ -13,7 +14,8 @@ import numpy as np
 import pytest
 
 from lix import errors, lix_daily, lix_intraday_raw, simlab, time_scale_to_daily
-from lix.measures import ScalingParams
+from lix.measures import DailyBar, IntradayWindow, ScalingParams
+from lix.orderbook import AdvContext, BookLevel, Books, OrderBookSnapshot, lixi_many
 from lix.simlab import (AlphaEstimate, BookParams, InstrumentParams, PathModel,
                         WalkKind, _ols, default_universe, estimate_alpha,
                         exact_scaling_session, lixi_vs_lix_study, simulate_paths,
@@ -43,6 +45,160 @@ def paths_oracle(model, n_paths, seed, start_price, stream):
     else:
         out[:, 1:] = start_price * np.exp(np.cumsum(inc, axis=1))
     return out
+
+
+def session_oracle(model, daily_volume, book_params, seed):
+    """synth_session with each snapshot's depth, spread and levels worked
+    out one Python float at a time from scalar jitter draws."""
+    if daily_volume <= 0:
+        raise errors.InvalidParams(f"daily_volume must be positive, got {daily_volume}")
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
+    prices = simulate_paths(model, 1, seed=seed, start_price=book_params.start_price)[0]
+    if prices.min() <= 0:
+        raise errors.InvalidParams("price path crossed zero; lower volatility or drift")
+    steps, levels = model.steps_per_day, book_params.levels
+    bar = DailyBar(instrument_id="SYN", date=datetime.date(2020, 1, 1),
+                   open=float(prices[0]), high=float(prices.max()),
+                   low=float(prices.min()), close=float(prices[-1]),
+                   volume=float(daily_volume))
+    snapshots = []
+    for k in range(1, book_params.n_snapshots + 1):
+        step = max(1, round(k * steps / book_params.n_snapshots))
+        mid = float(prices[step])
+        depth = daily_volume * 0.02
+        depth *= math.exp(0.25 * rng.standard_normal())
+        spread = max(bar.high - bar.low, 1e-6 * mid) * math.sqrt(depth / daily_volume)
+        spread *= math.exp(0.15 * rng.standard_normal())
+        spread = min(spread, 0.9 * mid * (levels + 1) / levels)
+        half, per_level = spread / 2, depth / (2 * levels)
+        snapshots.append(OrderBookSnapshot(
+            timestamp=step / steps * 28800.0,
+            bids=tuple(BookLevel(mid - half * 2 * i / (levels + 1), per_level)
+                       for i in range(1, levels + 1)),
+            asks=tuple(BookLevel(mid + half * 2 * i / (levels + 1), per_level)
+                       for i in range(1, levels + 1))))
+    hi, lo = np.maximum.accumulate(prices), np.minimum.accumulate(prices)
+    windows = []
+    for k in range(1, book_params.n_windows + 1):
+        step = max(2, round(k * steps / book_params.n_windows))
+        frac = step / steps
+        windows.append(IntradayWindow(
+            elapsed=frac * 28800.0, session_length=28800.0,
+            cum_volume=daily_volume * frac, high_t=float(hi[step]),
+            low_t=float(lo[step]), last_price=float(prices[step])))
+    return bar, snapshots, windows
+
+
+def outcome(build, *args):
+    """What build(*args) returns, or the class and message of its LixError."""
+    try:
+        return build(*args)
+    except errors.LixError as exc:
+        return type(exc), str(exc)
+
+
+def study_oracle(universe, days, seed, snapshots_per_day=100):
+    """lixi_vs_lix_study built from records: every day a synth_session with a
+    one-snapshot book, the last good day again with the full one, read
+    through Books.of."""
+    universe = list(universe)
+    points = []
+    dropped = 0
+    params = ScalingParams(0.5)
+    for i, inst in enumerate(universe):
+        inst_rng = np.random.default_rng(np.random.SeedSequence([seed, 2, i]))
+        book = dataclasses.replace(inst.book, n_snapshots=snapshots_per_day, n_windows=1)
+        bar_only = dataclasses.replace(book, n_snapshots=1)
+        lix_values = []
+        volumes = []
+        last = None
+        for d in range(days):
+            volume = inst.base_volume
+            if inst.volume_jitter > 0:
+                volume *= math.exp(inst.volume_jitter * inst_rng.standard_normal())
+            day_seed = int(inst_rng.integers(0, 2 ** 62))
+            date = datetime.date(2020, 1, 1) + datetime.timedelta(days=d)
+            try:
+                bar, _, _ = synth_session(inst.model, volume, bar_only, seed=day_seed,
+                                          instrument_id=inst.instrument_id, day=date)
+                lix_values.append(lix_daily(bar).value)
+                volumes.append(volume)
+                last = (volume, day_seed, date)
+            except errors.LixError:
+                continue
+        if last is None:
+            dropped += 1
+            continue
+        volume, day_seed, date = last
+        try:
+            _, last_day, _ = synth_session(inst.model, volume, book, seed=day_seed,
+                                           instrument_id=inst.instrument_id, day=date)
+        except errors.LixError:
+            dropped += 1
+            continue
+        ctx = AdvContext(adv=sum(volumes) / len(volumes))
+        lixi_values = [v for v in lixi_many(Books.of(last_day), ctx, params)
+                       if not isinstance(v, errors.LixError)]
+        if not lixi_values:
+            dropped += 1
+            continue
+        points.append(simlab.StudyPoint(
+            instrument_id=inst.instrument_id,
+            mean_lix=sum(lix_values) / len(lix_values),
+            mean_lixi=sum(lixi_values) / len(lixi_values)))
+    if len(points) < 2:
+        raise errors.DegenerateRegression(
+            f"need >= 2 instruments with usable data, got {len(points)}")
+    slope, intercept, r_squared, _ = _ols(np.array([p.mean_lix for p in points]),
+                                          np.array([p.mean_lixi for p in points]))
+    return simlab.RegressionReport(slope=slope, intercept=intercept, r_squared=r_squared,
+                                   n_points=len(points), n_dropped=dropped), points
+
+
+def _instrument(name, kind=WalkKind.GAUSSIAN_RETURNS, steps=100, vol=0.001, drift=0.0,
+                base_volume=1e6, volume_jitter=0.2, dof=None, **book):
+    model = PathModel(kind=kind, steps_per_day=steps, volatility_per_step=vol,
+                      drift_per_step=drift, dof=dof, seed=0)
+    return InstrumentParams(instrument_id=name, model=model, base_volume=base_volume,
+                            book=BookParams(**book), volume_jitter=volume_jitter)
+
+
+# (universe, days, seed, snapshots per day): default universes, and edge
+# instruments beside three of them, so that two points are left to regress.
+STUDY_CASES = {
+    f"default_{n}x{days}x{snaps}_seed{seed}": (default_universe(n, seed=seed), days, seed, snaps)
+    for seed in (0, 5, 11) for n, days, snaps in [(20, 20, 100), (10, 5, 20), (4, 3, 6)]}
+STUDY_CASES.update({name: (default_universe(3, seed=2) + [inst], days, 2, 7) for name, inst, days in [
+    ("flat", _instrument("FLAT", vol=0.0, volume_jitter=0.0), 3),
+    # On some days exp of the walk overflows to inf, or underflows to a
+    # price of 0, or an arithmetic walk crosses zero; on every day of UP.
+    ("overflow", _instrument("HOT", vol=60.0), 30),
+    ("underflow", _instrument("DOWN", drift=-7.0, vol=6.0), 30),
+    ("cross_zero", _instrument("RW", kind=WalkKind.ARITHMETIC_RANDOM_WALK, vol=15.0), 30),
+    ("drift_up", _instrument("UP", drift=8.0, vol=1.0), 5),
+    # The per-level volume, depth / (2 * levels), underflows to 0 on some
+    # days of SUB and on every day of TINY (5e-324 is the least subnormal).
+    ("level_volume_underflow", _instrument("SUB", base_volume=1e-321, volume_jitter=1.0), 30),
+    ("volume_underflow", _instrument("TINY", base_volume=5e-324), 10),
+    # The jittered daily volume itself underflows to 0 on some days.
+    ("zero_volume", _instrument("NONE", base_volume=5e-324, volume_jitter=3.0), 10),
+    # Prices of a few subnormal steps: some days' spread rounds to a few
+    # steps or none, so their levels tie, which no snapshot accepts.
+    ("subnormal_prices", _instrument("SUBN", vol=0.3, start_price=5e-323), 20),
+    # The last counted day's full book has a level of volume 0; or every
+    # snapshot's VWAP underflows, so the day has no snapshot index.
+    ("full_book_refused", _instrument("THIN", base_volume=1e-321), 10),
+    ("no_snapshot_index", _instrument("THINNER", base_volume=5e-322), 10),
+    ("no_volume_jitter", _instrument("STILL", volume_jitter=0.0, levels=3), 4),
+    ("int_prices", _instrument("INT", base_volume=10 ** 6, volume_jitter=0.0,
+                               start_price=50, levels=1), 4),
+    ("student_t", _instrument("T", kind=WalkKind.STUDENT_T_RETURNS, vol=0.002, dof=3), 6),
+    ("wide_books", _instrument("WIDE", vol=0.3, levels=10), 6),
+    # the volumes' sum overflows, so the ADV is inf: InvalidAdv
+    ("adv_overflow", _instrument("HUGE", vol=1.0, base_volume=1e308, volume_jitter=0.0), 6),
+    # 50000-step days: blocks of two rows, the last of one
+    ("multi_block", _instrument("LONG", steps=50_000, vol=1e-4), 5),
+]})
 
 
 def chunk_paths(model):
@@ -129,26 +285,54 @@ class TestBitIdentity:
             (8.47558776923532, 8.352609883669185),
             (10.079720910474352, 10.073551389801603)]
 
+    @pytest.mark.parametrize("case", sorted(STUDY_CASES))
+    def test_study_matches_record_oracle(self, case):
+        with np.errstate(all="ignore"):  # the records' walks warn on overflow
+            expected = outcome(study_oracle, *STUDY_CASES[case])
+        assert outcome(lixi_vs_lix_study, *STUDY_CASES[case]) == expected
+
+    @pytest.mark.parametrize("kind", [WalkKind.GAUSSIAN_RETURNS,
+                                      WalkKind.ARITHMETIC_RANDOM_WALK])
+    @pytest.mark.parametrize("start, volume", [
+        (100.0, 1e6), (3.5, 7), (5e-323, 1e6), (1e300, 1e300), (100.0, 1e-320)],
+        ids=["plain", "small", "subnormal_prices", "huge", "subnormal_volume"])
+    def test_synth_session_matches_scalar_oracle(self, kind, start, volume):
+        # Subnormal prices make subnormal spreads, where (spread / 2) * 2 is
+        # not spread; some sessions of each case fail, with the same error.
+        for vol, levels, n_snapshots, n_windows, seed in itertools.product(
+                [0.0, 0.05, 0.3], [1, 2, 5], [1, 3, 20], [1, 4], range(3)):
+            model = PathModel(kind=kind, steps_per_day=30, volatility_per_step=vol, seed=0)
+            book = BookParams(start_price=start, levels=levels, n_snapshots=n_snapshots,
+                              n_windows=n_windows)
+            with np.errstate(all="ignore"):  # the oracle's Python floats do not warn
+                expected = outcome(session_oracle, model, volume, book, seed)
+            got = outcome(synth_session, model, volume, book, seed)
+            assert repr(got) == repr(expected), (vol, levels, n_snapshots, n_windows, seed)
+
     def test_study_reads_last_good_day_when_final_day_fails(self, monkeypatch):
         # A failed final day leaves the other days' draws as they were, so
-        # the study equals the one that stops a day earlier.
+        # the study equals the one that stops a day earlier. The final day
+        # fails by a walk of NaN, which no bar accepts.
         universe = default_universe(4, seed=5)
         expected = lixi_vs_lix_study(universe, days=3, seed=5, snapshots_per_day=6)
-        final = datetime.date(2020, 1, 4)
-        real = simlab.synth_session
-        full_books = []
+        real = simlab._day_draws
+        day_seeds, full_books = [], []
 
-        def failing_final_day(model, volume, book, **kw):
-            if kw["day"] == final:
-                raise errors.InvalidParams("synthetic failure")
-            if book.n_snapshots == 6:
-                full_books.append(kw["day"])
-            return real(model, volume, book, **kw)
+        def failing_final_day(model, day_seed, row, n_snapshots):
+            jitter = real(model, day_seed, row, n_snapshots)
+            if n_snapshots == 6:
+                full_books.append(day_seed)
+            else:
+                day_seeds.append(day_seed)
+                if len(day_seeds) % 4 == 0:  # each instrument's day 4 of 4
+                    row.fill(math.nan)
+            return jitter
 
-        monkeypatch.setattr(simlab, "synth_session", failing_final_day)
+        monkeypatch.setattr(simlab, "_day_draws", failing_final_day)
         got = lixi_vs_lix_study(universe, days=4, seed=5, snapshots_per_day=6)
         assert got == expected
-        assert full_books == [final - datetime.timedelta(days=1)] * 4
+        assert len(day_seeds) == 16
+        assert full_books == day_seeds[2::4]  # each instrument's day 3
 
 
 class TestEstimateAlpha:
@@ -522,6 +706,56 @@ class TestStudy:
         a, b = run(100.0), run(700.0)
         assert b.slope == pytest.approx(a.slope, abs=1e-9)
         assert b.r_squared == pytest.approx(a.r_squared, abs=1e-9)
+
+    def test_builds_no_book_records(self, monkeypatch):
+        universe = default_universe(4, seed=5)
+        expected = lixi_vs_lix_study(universe, days=3, seed=5, snapshots_per_day=6)
+
+        def refuse(*args):
+            raise AssertionError("the study built a book record")
+
+        monkeypatch.setattr(BookLevel, "__post_init__", refuse)
+        monkeypatch.setattr(OrderBookSnapshot, "__post_init__", refuse)
+        monkeypatch.setattr(Books, "of", refuse)
+        assert lixi_vs_lix_study(universe, days=3, seed=5, snapshots_per_day=6) == expected
+
+    def test_memory_does_not_grow_with_days(self):
+        # One block holds at most _BLOCK_BYTES of walk: the 200 days' walk
+        # is 0.4 MB and a block of 2000 days' is 1 MB (peaks ~0.53 and
+        # ~1.5 MB); walking all 2000 days at once would take 4 MB.
+        def peak(days):
+            tracemalloc.start()
+            try:
+                with pytest.raises(errors.DegenerateRegression):
+                    lixi_vs_lix_study(default_universe(1), days=days, seed=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(3)  # numpy's first-call allocations are not the study's
+        assert peak(2000) < 4 * peak(200)
+
+    def test_one_window_adds_no_check_to_the_bar(self):
+        # The study does not build its days' one window: it spans the whole
+        # day, so it holds the bar's high, low, close and volume, and any
+        # bar of positive volume gives a window its constructor accepts.
+        model = PathModel(kind=WalkKind.GAUSSIAN_RETURNS, steps_per_day=37,
+                          volatility_per_step=0.01, seed=0)
+        for seed in range(20):
+            bar, _, (window,) = synth_session(model, 1e6 + seed, BookParams(n_windows=1),
+                                              seed=seed)
+            assert (window.elapsed, window.session_length) == (28800.0, 28800.0)
+            assert (window.high_t, window.low_t, window.last_price, window.cum_volume) == (
+                bar.high, bar.low, bar.close, bar.volume)
+        values = [-1.0, -0.0, 0.0, 5e-324, 1e-300, 0.5, 1.0, 1.5, 2.0, 1e300,
+                  math.inf, -math.inf, math.nan]
+        rng = np.random.default_rng(0)
+        columns = rng.choice(values, size=(5, 200_000))
+        accepted = ~DailyBar.rejects(*columns) & (columns[4] > 0)
+        assert accepted.sum() > 1000
+        for open_, high, low, close, volume in columns[:, accepted].T.tolist():
+            IntradayWindow(elapsed=28800.0, session_length=28800.0, cum_volume=volume * 1.0,
+                           high_t=high, low_t=low, last_price=close)
 
     def test_dropped_instruments_counted(self):
         flat = PathModel(kind=WalkKind.GAUSSIAN_RETURNS, steps_per_day=100,
