@@ -14,7 +14,7 @@ from .orderbook import (AdvContext, BookLevel, Books, LixiDecomposition,
                         OrderBookSnapshot, lixi, lixi_decomposed,
                         lixi_decomposed_many, lixi_many, lixi_tau,
                         relative_spread, side_vwap)
-from .portfolio import (BasketPosition, BasketSpec, basket_lix,
+from .portfolio import (BasketPosition, BasketSpec, Positions, basket_lix,
                         basket_with_etf_lix, venue_combine)
 
 __all__ = [
@@ -27,7 +27,7 @@ __all__ = [
     "lixi_many", "lixi_decomposed_many",
     "ExecutionPlan", "price_impact", "cost_single_shot", "cost_sliced",
     "cost_per_unit", "cost_per_unit_value",
-    "BasketPosition", "BasketSpec", "basket_lix", "basket_with_etf_lix",
+    "BasketPosition", "BasketSpec", "Positions", "basket_lix", "basket_with_etf_lix",
     "venue_combine",
     "MultiDayWindow", "hui_heubel", "amihud_illiq",
     "read_bars", "read_books", "write_daily_bars", "parse_basket_positions",

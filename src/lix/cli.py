@@ -171,7 +171,7 @@ def _text_cells(values, precision: int) -> list:
     if not values or isinstance(values[0], str):
         return values
     if isinstance(values[0], float):
-        return [f"{v:.{precision}f}" for v in values]
+        return list(map(f"{{:.{precision}f}}".format, values))  # one format per column
     return [_cell(v, precision) for v in values]
 
 

@@ -16,9 +16,9 @@ it at once with Python's own `float` (straight into a float64 array), `int`
 and `date.fromisoformat`, orders and groups keys with `np.unique` (bar
 dates by ordinal, book rows by timestamp) and checks them for repeats, and
 puts the rows through the records' checks (the vectorised `rejects` masks
-for bars and book levels, the constructor for positions). A clean file
-becomes `Bars`, `Books` or a list of BasketPosition; a book file whose rows
-pass has its first whole-book fault (a gap, a crossed book) raised there.
+of DailyBar, BookLevel and BasketPosition). A clean file becomes `Bars`,
+`Books` or `Positions`; a book file whose rows pass has its first
+whole-book fault (a gap, a crossed book) raised there.
 
 A file that is not clean, or fails its bulk step, is scanned once for a
 quoted field left open at its end, then read again with line numbers and
@@ -29,7 +29,7 @@ at the first fault: a field check's ParseError with its line, a record's own
 fault as InvariantViolation with the line, or a structural one (a row of the
 wrong width, malformed CSV). A walk that finds none (the file only had blank
 rows, say) hands its flat fields back to `bulk`.
-Iterating `Bars` or `Books` yields DailyBar or OrderBookSnapshot records.
+Indexing or iterating `Bars`, `Books` or `Positions` builds their records.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import numpy as np
 from . import errors
 from .measures import Bars, DailyBar
 from .orderbook import AdvContext, BookLevel, Books, OrderBookSnapshot
-from .portfolio import BasketPosition
+from .portfolio import BasketPosition, Positions
 
 BAR_HEADER = ["date", "open", "high", "low", "close", "volume"]
 BOOK_HEADER = ["timestamp", "side", "level", "price", "volume"]
@@ -334,20 +334,21 @@ def _check_book_row(row, line, seen):
     BookLevel(price, volume)
 
 
-def parse_basket_positions(path) -> list[BasketPosition]:
-    """Read `instrument,beta,lix` rows into basket positions."""
+def parse_basket_positions(path) -> Positions:
+    """Read `instrument,beta,lix` rows, each a valid BasketPosition, into Positions."""
     return _read(path, POSITION_HEADER, _positions, _check_position_row)
 
 
 def _positions(fields):
-    # The rows' positions, or None when a value is not a number or a
-    # position's own checks (finite, weight > 0) reject it.
+    # The rows as Positions, or None when a value is not a number or
+    # BasketPosition.rejects flags a row.
     names, betas, lixes = _columns(fields, len(POSITION_HEADER))
     try:
-        return list(map(BasketPosition, map(str.strip, names),
-                        map(float, betas), map(float, lixes)))
-    except (ValueError, errors.InvalidParams):
+        block = _floats(itertools.chain(betas, lixes), 2 * len(names)).reshape(2, -1)
+    except ValueError:
         return None
+    if not BasketPosition.rejects(*block).any():
+        return Positions(list(map(str.strip, names)), *block.tolist())
 
 
 def _check_position_row(row, line, seen):

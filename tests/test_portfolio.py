@@ -1,11 +1,16 @@
+import io
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lix import (BasketPosition, BasketSpec, basket_lix, basket_with_etf_lix,
-                 cost_per_unit_value, errors, venue_combine)
+import basket_oracle
+from lix import (BasketPosition, BasketSpec, LiquidityIndex, LixKind, Positions,
+                 basket_lix, basket_with_etf_lix, cost_per_unit_value, errors,
+                 parse_basket_positions, portfolio, venue_combine)
+from lix.cli import main
 
 lix_values = st.floats(min_value=-5, max_value=15, allow_nan=False)
 weights = st.floats(min_value=1e-6, max_value=1.0)
@@ -200,3 +205,133 @@ class TestWeights:
             BasketPosition("A", 0.0, 7.0)
         with pytest.raises(errors.InvalidParams):
             BasketPosition("A", -0.1, 7.0)
+
+
+class TestPositions:
+    def test_rejects_matches_the_constructor(self):
+        # Few distinct values, so zero, negative, subnormal and non-finite
+        # weights and values are all common.
+        rng = np.random.default_rng(13)
+        pool = [-1.0, -0.0, 0.0, 5e-324, 1.0, 1e308, math.inf, -math.inf, math.nan]
+        rows = rng.choice(pool, size=(2, 3000))
+        mask = BasketPosition.rejects(*rows)
+        for refused, (beta, lix) in zip(mask.tolist(), rows.T.tolist()):
+            try:
+                BasketPosition("X", beta, lix)
+            except errors.InvalidParams:
+                assert refused, (beta, lix)
+            else:
+                assert not refused, (beta, lix)
+        assert 0 < mask.sum() < len(mask)
+
+    def test_records_round_trip(self):
+        records = [BasketPosition("A", 0.25, 7.0),
+                   BasketPosition("B", 2, LiquidityIndex(-0.0, LixKind.DAILY))]
+        columns = Positions.of(records)
+        assert (len(columns), list(columns), columns[1]) == (2, records, records[1])
+        assert columns == Positions(["A", "B"], [0.25, 2], [7.0, records[1].lix])
+        assert not Positions.of([])
+
+    def test_a_basket_call_sums_its_positions_once(self, tmp_path, monkeypatch):
+        n = 2500
+        path = tmp_path / "positions.csv"
+        path.write_text("instrument,beta,lix\n"
+                        + "".join(f"P{i},{1 + i % 7},{4 + i % 5}\n" for i in range(n)))
+        kernel, sizes = portfolio._log10_weighted_sum, []
+
+        def counted(weights, exponents):
+            sizes.append(len(exponents))
+            return kernel(weights, exponents)
+
+        monkeypatch.setattr(portfolio, "_log10_weighted_sum", counted)
+        out, err = io.StringIO(), io.StringIO()
+        assert main(["basket", str(path), "--etf-lix", "8.5"], out=out, err=err) == 0
+        assert sizes == [n, 2]  # the basket leg once, then the ETF formula
+
+
+def _signed(value):
+    return value, math.copysign(1.0, value)
+
+
+def _outcome(module, make, positions, etf, strict):
+    """What `module`'s basket path makes of the positions: the spec's
+    positions, weight sum and values with their signs, or the fault."""
+    try:
+        spec = module.BasketSpec.build(make(positions), etf_lix=etf, strict=strict)
+        values = [module.basket_lix(spec).value]
+        if etf is not None:
+            values.append(module.basket_with_etf_lix(spec).value)
+    except errors.LixError as exc:
+        return type(exc), str(exc)
+    return ([(p.instrument_id, p.beta, p.lix) for p in spec.positions],
+            spec.weight_sum, list(map(_signed, values)))
+
+
+def _records(module):
+    return lambda rows: [module.BasketPosition(*row) for row in rows]
+
+
+class TestAgainstTheRecordPath:
+    """The columnar path against basket_oracle, the record path it replaced."""
+
+    @staticmethod
+    def random_lix(rng):
+        value = rng.choice([rng.uniform(-400, 400), rng.uniform(4, 10), 0.0, -0.0])
+        return LiquidityIndex(value, LixKind.DAILY) if rng.random() < 0.2 else value
+
+    def random_basket(self, rng):
+        n = rng.choice([1, 2, 3, 5, 8, 40])
+        betas = [rng.choice([rng.uniform(1e-3, 2)] * 6 + [1e-320, 1e308, 0.0])
+                 for _ in range(n)]
+        strict = rng.random() < 0.3
+        if strict and rng.random() < 0.7 and all(1e-3 <= b <= 2 for b in betas):
+            betas = [b / math.fsum(betas) for b in betas]
+        etf = rng.choice([None, -0.0, self.random_lix(rng)])
+        return [(f"I{i}", b, self.random_lix(rng)) for i, b in enumerate(betas)], etf, strict
+
+    CASES = {
+        "zero": ([("A", 1.0, 0.0)], -0.0, False),
+        "signed_zeros": ([("A", 0.5, 0.0), ("B", 1.5, -0.0)], -0.0, False),
+        "signed_zeros_strict": ([("A", 0.25, -0.0), ("B", 0.75, 0.0)],
+                                LiquidityIndex(-0.0, LixKind.DAILY), True),
+        "underflow": ([("A", 1e-320, 7.0), ("B", 1e308, 7.0)], None, False),
+        "subnormal": ([("A", 1e-320, 7.0), ("B", 1.0, 7.0)], 6.5, False),
+        "underflow_strict": ([("A", 1e-320, 7.0), ("B", 1e308, 7.0)], None, True),
+        "unnormalized_strict": ([("A", 0.5, 7.0), ("B", 0.6, LiquidityIndex(8.0, LixKind.DAILY))],
+                                None, True),
+        "overflow": ([("A", 1e308, 7.0), ("B", 1e308, 7.0)], 5.0, False),
+        "empty": ([], 5.0, False),
+    }
+
+    @pytest.mark.parametrize("rows, etf, strict", CASES.values(), ids=CASES)
+    def test_named_cases(self, rows, etf, strict):
+        want = _outcome(basket_oracle, _records(basket_oracle), rows, etf, strict)
+        assert _outcome(portfolio, _records(portfolio), rows, etf, strict) == want
+
+    def test_random_baskets_from_records_and_columns(self):
+        rng = random.Random(2020)
+        kinds = set()
+        for _ in range(10_000):
+            rows, etf, strict = self.random_basket(rng)
+            want = _outcome(basket_oracle, _records(basket_oracle), rows, etf, strict)
+            assert _outcome(portfolio, _records(portfolio), rows, etf, strict) == want, rows
+            if min(beta for _, beta, _ in rows) > 0:  # valid records: as columns too
+                got = _outcome(portfolio, lambda rows: Positions(*map(list, zip(*rows))),
+                               rows, etf, strict)
+                assert got == want, rows
+            kinds.add(want[0].__name__ if isinstance(want[0], type) else "value")
+        assert kinds == {"value", "InvalidParams", "UnnormalizedWeights"}
+
+    def test_random_baskets_from_files(self, tmp_path):
+        rng = random.Random(2021)
+        for k in range(300):
+            rows, etf, strict = self.random_basket(rng)
+            rows = [(name, beta, float(getattr(lix, "value", lix))) for name, beta, lix in rows]
+            path = tmp_path / f"positions{k}.csv"
+            path.write_text("instrument,beta,lix\n"
+                            + "".join(f"{name},{beta!r},{lix!r}\n" for name, beta, lix in rows))
+            if min(beta for _, beta, _ in rows) <= 0:
+                continue  # a row the reader refuses, with its line
+            want = _outcome(basket_oracle, _records(basket_oracle), rows, etf, strict)
+            got = _outcome(portfolio, lambda _: parse_basket_positions(path), rows, etf, strict)
+            assert got == want, rows

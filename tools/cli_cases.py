@@ -11,6 +11,7 @@ every format with LIX_PRECISION unset and set (COMMAND-FORMAT-unset|envP).
 import datetime
 import io
 import itertools
+import math
 import os
 import random
 from unittest import mock
@@ -211,6 +212,16 @@ def _seeded_files() -> list:
         k = rng.randrange(1, len(rows) - 1)
         files += [(f"{kind}_{fault}", [header] + make(rows, k))
                   for fault, make in [*faults.items(), *SHARED_FAULTS.items()]]
+    # A basket the size of the benchmark's (lixbench `files`), drawn after
+    # every other file so that none of theirs moves; once more with its
+    # weights normalized, for --strict.
+    betas = [rng.uniform(0.5, 2.0) for _ in range(2500)]
+    lixes = [rng.uniform(4.0, 10.0) for _ in range(2500)]
+    total = math.fsum(betas)
+    for stem, weights in (("positions_bench", betas),
+                          ("positions_bench_unit", [b / total for b in betas])):
+        files.append((stem, [POSITION_HEADER] + [f"P{i:06d},{b!r},{v!r}" for i, (b, v)
+                                                 in enumerate(zip(weights, lixes))]))
     return [(f"{stem}.csv", "".join(f"{x}\n" for x in lines)) for stem, lines in files]
 
 
@@ -292,7 +303,13 @@ def _table() -> list:
         # 524 days of 250 steps fill the study's ~1 MiB walk block: 600 take two.
         ("study_two_blocks-json-unset", ["study", "--instruments", "3", "--days", "600",
                                          "--snapshots", "5", "--seed", str(SEED),
-                                         "--format", "json"], None)]
+                                         "--format", "json"], None),
+        # Bench-size baskets: appended here, as a seeded command would rename
+        # every later case (each takes the next precision of the cycle).
+        ("basket_bench_etf-csv-unset", ["basket", "{dir}/positions_bench.csv", "--etf-lix",
+                                        "8.5", "--format", "csv"], None),
+        ("basket_bench_strict-json-env17", ["basket", "{dir}/positions_bench_unit.csv",
+                                            "--strict", "--format", "json"], "17")]
 
 
 CASES = _table()
