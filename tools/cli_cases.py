@@ -309,7 +309,13 @@ def _table() -> list:
         ("basket_bench_etf-csv-unset", ["basket", "{dir}/positions_bench.csv", "--etf-lix",
                                         "8.5", "--format", "csv"], None),
         ("basket_bench_strict-json-env17", ["basket", "{dir}/positions_bench_unit.csv",
-                                            "--strict", "--format", "json"], "17")]
+                                            "--strict", "--format", "json"], "17"),
+        # Each way argparse can take an argument list that starts with a command.
+        ("usage_bogus_option-text-unset", [*lix, "--bogus"], None),
+        ("usage_extra_positional-text-unset", ["cost", *COST, "extra"], None),
+        ("usage_option_before_command-text-unset", ["--precision", "2", *lix], None),
+        ("lix_abbreviated_option-text-unset", [*lix, "--prec", "2"], None),
+        ("usage_command_help-text-unset", ["lixi", "-h"], None)]
 
 
 CASES = _table()
@@ -319,11 +325,13 @@ UNPINNED = [name for name, _, _ in CASES if name.partition("-")[0] in
 
 
 def run(case: tuple, directory) -> list:
-    """[exit code, stdout, stderr] of `case`, its input directory written as `<dir>`."""
+    """[exit code, stdout, stderr] of `case` at 80 columns, its input directory
+    written as `<dir>`."""
     from lix.cli import main  # the lix first on sys.path, imported only to run
     _, argv, precision = case
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.dict(os.environ):
+        os.environ["COLUMNS"] = "80"  # argparse wraps help and usage to the terminal
         os.environ.pop("LIX_PRECISION", None)
         if precision is not None:
             os.environ["LIX_PRECISION"] = precision
