@@ -7,9 +7,10 @@ human-readable table to machine output (default json for `calibrate-alpha`
 and `study`). JSON is a list from `lix`, `lixi` and `compare`, else an object.
 
 Each call builds its argparse parser afresh, and keeps no parser between
-calls. When argv[0] names a command, only that command's subparser is built
-(see `build_parser`); any other argv gets the parser with every command, so
-help and usage errors read as they always have.
+calls. When argv[0] names a command, only that command's own parser is built
+and parses the rest of argv (see `build_parser`). An argv that names no
+command, or that leaves an argument unrecognized, goes to the parser with
+every command, so help and usage errors read as they always have.
 """
 
 from __future__ import annotations
@@ -136,28 +137,45 @@ def _study_arguments(s):
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The `lix` parser with every subcommand, or with `command`'s only.
+    """The `lix` parser with every command, or `command`'s own parser.
 
-    `main` asks for one command's parser when argv[0] names it, since
-    argparse can then pick no other; building one subparser instead of
-    eight is most of the cost of a short call. That parser still lists
-    every command in its usage line, which argparse prints on an
-    unrecognized argument. The full parser leaves the metavar unset, as
-    argparse names the missing command by it.
+    A command's own parser is the one the full parser's subparser for it
+    would be: the same prog (`lix COMMAND`), arguments and help. `main`
+    parses with it when argv[0] names the command, as argparse then hands
+    the rest of argv to that subparser and to no other; building one
+    parser instead of the `lix` parser, its subparsers and a subparser is
+    most of the cost of a short call.
     """
-    p = argparse.ArgumentParser(prog="lix",
-                                description="Liquidity index toolkit")
-    if command is None:
-        sub = p.add_subparsers(dest="command", required=True)
-    else:
-        sub = p.add_subparsers(dest="command", required=True,
-                               metavar="{" + ",".join(_COMMANDS) + "}")
-    for name in _COMMANDS if command is None else [command]:
-        help_text, add_arguments, _ = _COMMANDS[name]
-        s = sub.add_parser(name, help=help_text)
-        _add_output_options(s)
-        add_arguments(s)
+    if command is not None:
+        return _add_arguments(argparse.ArgumentParser(prog=f"lix {command}"), command)
+    p = argparse.ArgumentParser(prog="lix", description="Liquidity index toolkit")
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), name)
     return p
+
+
+def _add_arguments(s, command: str):
+    _add_output_options(s)
+    _COMMANDS[command][1](s)
+    return s
+
+
+def _parse_args(argv: list) -> argparse.Namespace:
+    """argv parsed as the full parser parses it, or argparse's SystemExit
+    after it has printed help or a usage error.
+
+    When argv[0] names a command, that command's own parser parses the
+    rest of argv. An argv that names no command, or in which that parser
+    leaves an argument unrecognized, goes to the full parser, so that
+    argparse prints the `lix` usage line and message.
+    """
+    if argv and argv[0] in _COMMANDS:
+        args, unrecognized = build_parser(argv[0]).parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if not unrecognized:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _cell(value, precision: int) -> str:
@@ -393,10 +411,9 @@ def main(argv=None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            args = parser.parse_args(argv)
+            args = _parse_args(argv)
     except SystemExit as exc:  # argparse already printed usage/help
         return int(exc.code or 0)
     if args.format is None:

@@ -301,11 +301,16 @@ def _day_draws(model: PathModel, day_seed: int, row: np.ndarray,
     jitter. Every session, alone or in a block of days, is drawn here.
 
     PCG64 keys a list seed as SeedSequence(list), so the streams are those
-    of default_rng(SeedSequence([day_seed, k])).
+    of default_rng(SeedSequence([day_seed, k])). Jitters numpy cannot
+    allocate raise InvalidParams naming n_snapshots.
     """
     _draw(model, np.random.Generator(np.random.PCG64([day_seed, 0])), row)
     rng = np.random.Generator(np.random.PCG64([day_seed, 1]))
-    return rng.standard_normal((n_snapshots, 2))
+    try:
+        return rng.standard_normal((n_snapshots, 2))
+    except (ValueError, MemoryError):
+        raise errors.InvalidParams(
+            f"cannot allocate the jitters of {n_snapshots} snapshots a day") from None
 
 
 def _ladders(mid, daily_volume, day_range, jitter, levels: int):

@@ -9,7 +9,8 @@ import warnings
 import numpy as np
 import pytest
 
-from lix.cli import build_parser, main
+from lix import cli
+from lix.cli import _parse_args, build_parser, main
 
 BARS = """date,open,high,low,close,volume
 2013-11-20,50,51,50,50,10000000
@@ -684,7 +685,7 @@ FLAG_BASES = {
 }
 FLAG_VALUES = ("nan", "inf", "-inf", "0", "-3", "1e308", "5e-324",
                "1234567890123456789012345", "x")
-SIZE_FLAGS = ("--paths", "--steps", "--instruments", "--days", "--snapshots")
+SIZE_FLAGS = ("--paths", "--steps", "--instruments", "--days")
 WEEK = "date,open,high,low,close,volume\n" + "".join(
     f"2013-11-{day},50,51,49.5,50,{4000 + day}\n" for day in range(18, 23))
 
@@ -715,6 +716,12 @@ def test_numeric_flag_fuzz_exits_0_with_finite_output_or_2(tmp_path, command, fl
             assert out == "" and "error:" in err, (argv, out, err)
 
 
+def test_a_snapshot_count_too_large_to_draw_exits_2():
+    n = "1234567890123456789012345"
+    assert run(["study", "--instruments", "2", "--days", "1", "--snapshots", n]) == (
+        2, "", f"error: cannot allocate the jitters of {n} snapshots a day\n")
+
+
 def test_precision_bounded_by_the_last_float_decimal_place(tmp_path):
     path = write(tmp_path, "b.csv", BARS)
     code, out, _ = run(["lix", path, "--precision", "1074"])
@@ -723,12 +730,12 @@ def test_precision_bounded_by_the_last_float_decimal_place(tmp_path):
     assert (code, out) == (2, "") and "at most 1074 decimal places" in err
 
 
-def _parse(parser, argv):
-    """(exit code, stdout, stderr, parsed arguments) of one parse_args call."""
+def _parse(parse, argv):
+    """(exit code, stdout, stderr, parsed arguments) of one parse call."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            args, code = vars(parser.parse_args(argv)), 0
+            args, code = vars(parse(argv)), 0
         except SystemExit as exc:
             args, code = None, exc.code
     return code, out.getvalue(), err.getvalue(), args
@@ -745,10 +752,31 @@ def test_one_command_parser_parses_as_the_full_one(monkeypatch, command, columns
     given = head[1:] + [a for pair in flags.items() for a in pair]
     shapes = [["-h"], given + ["--bogus"], given + ["extra"], [],
               given + ["--precision", "x"], given + ["--format", "xml"],
-              given + ["--prec", "2"], ["--"] + given, ["--precision", "2"] + given]
+              given + ["--prec", "2"], ["--"] + given, ["--precision", "2"] + given,
+              given + ["--bogus", "1"], given + ["-h"]]
     for shape in shapes:
         argv = [command] + shape
-        assert _parse(build_parser(command), argv) == _parse(build_parser(), argv), argv
+        assert _parse(_parse_args, argv) == _parse(build_parser().parse_args, argv), argv
+
+
+COST = ["cost", "--shares", "1000", "--price", "50", "--lix", "8", "--slice-t", "600",
+        "--session", "23400"]
+
+
+@pytest.mark.parametrize("argv,built", [
+    (COST, ["cost"]), (COST + ["--prec", "2"], ["cost"]), (COST + ["-h"], ["cost"]),
+    (COST + ["extra"], ["cost", None]), (["--precision", "2", *COST], [None]),
+    ([], [None])])
+def test_a_call_builds_its_command_parser_alone_unless_argparse_must_complain(
+        monkeypatch, argv, built):
+    calls = []
+
+    def counted(command=None):
+        calls.append(command)
+        return build_parser(command)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    run(argv)
+    assert calls == built
 
 
 def test_argv_may_be_any_iterable_or_default_to_sys_argv(tmp_path, monkeypatch):
