@@ -146,19 +146,18 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     parser instead of the `lix` parser, its subparsers and a subparser is
     most of the cost of a short call.
     """
-    if command is not None:
-        return _add_arguments(argparse.ArgumentParser(prog=f"lix {command}"), command)
-    p = argparse.ArgumentParser(prog="lix", description="Liquidity index toolkit")
-    sub = p.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, _) in _COMMANDS.items():
-        _add_arguments(sub.add_parser(name, help=help_text), name)
+    if command is None:
+        p = argparse.ArgumentParser(prog="lix", description="Liquidity index toolkit")
+        sub = p.add_subparsers(dest="command", required=True)
+        parsers = {name: sub.add_parser(name, help=help_text)
+                   for name, (help_text, _, _) in _COMMANDS.items()}
+    else:
+        p = argparse.ArgumentParser(prog=f"lix {command}")
+        parsers = {command: p}
+    for name, s in parsers.items():
+        _add_output_options(s)
+        _COMMANDS[name][1](s)
     return p
-
-
-def _add_arguments(s, command: str):
-    _add_output_options(s)
-    _COMMANDS[command][1](s)
-    return s
 
 
 def _parse_args(argv: list) -> argparse.Namespace:

@@ -310,7 +310,8 @@ def _table() -> list:
                                         "8.5", "--format", "csv"], None),
         ("basket_bench_strict-json-env17", ["basket", "{dir}/positions_bench_unit.csv",
                                             "--strict", "--format", "json"], "17"),
-        # Each way argparse can take an argument list that starts with a command.
+        # Around a command: arguments left unrecognized after it, an option
+        # before it, an abbreviated option and the command's help.
         ("usage_bogus_option-text-unset", [*lix, "--bogus"], None),
         ("usage_extra_positional-text-unset", ["cost", *COST, "extra"], None),
         ("usage_option_before_command-text-unset", ["--precision", "2", *lix], None),
