@@ -8,18 +8,19 @@ study generates a universe of synthetic instruments spanning several
 decades of liquidity, measures each one both ways (daily index averaged over
 days, snapshot index averaged over one day) and regresses one on the other.
 
-All randomness is driven by numpy bit generators keyed as
-SeedSequence([seed, stream]). estimate_alpha walks ~1 MiB chunks of paths,
-each from its own stream, on two worker threads; its values depend on the
-chunk size (_BLOCK_BYTES) but not on scheduling or the worker count.
+All randomness is drawn from numpy generators keyed by a list seed,
+default_rng([seed, stream, ...]). estimate_alpha walks ~1 MiB chunks of
+paths, each from its own stream, on two worker threads; its values depend on
+the chunk size (_BLOCK_BYTES) but not on scheduling or the worker count.
 
 A session draws its walk and its snapshot jitters from streams [day seed,
-0] and [day seed, 1] (_day_draws), and one function (_ladders) lays out
-its books. synth_session builds records from them. The study builds its
-days as arrays instead: each instrument's days in blocks of at most
-_BLOCK_BYTES of walk, checked with the masks of the records' own checks,
-and the last counted day's full book straight into Books. Its seeds and
-values are those of building every day with synth_session.
+0] and [day seed, 1] (_day_draws), and _ladders lays out its books. One
+helper (_session) builds a day: synth_session makes records of it, and the
+study reads its last counted day's full book from it into Books. The study
+walks its days in blocks of at most _BLOCK_BYTES of walk, checked with the
+masks of the records' own checks, so a day no bar accepts is dropped
+before its books are laid out. Its seeds and values are those of building
+every day with synth_session.
 """
 
 from __future__ import annotations
@@ -138,18 +139,6 @@ def _walk_buffer(model: PathModel, rows: int, steps: int) -> np.ndarray:
             f"(steps_per_day {model.steps_per_day})") from None
 
 
-def simulate_paths(model: PathModel, n_paths: int, seed: int | None = None,
-                   start_price: float = 100.0, stream: int = 0) -> np.ndarray:
-    """(n_paths, steps + 1) price paths including the starting price."""
-    s = model.seed if seed is None else seed
-    rng = np.random.default_rng(np.random.SeedSequence([s, stream]))
-    out = _walk_buffer(model, n_paths, model.steps_per_day + 1)
-    out[:, 0] = start_price
-    walk = _walk_buffer(model, n_paths, model.steps_per_day)
-    out[:, 1:] = _prices(model, start_price, _draw(model, rng, walk))
-    return out
-
-
 @dataclass(frozen=True)
 class AlphaEstimate:
     alpha_hat: float
@@ -202,7 +191,7 @@ def estimate_alpha(model: PathModel, n_paths: int, time_grid) -> AlphaEstimate:
     if any(not (0 < f <= 1) for f in grid):
         raise errors.DegenerateGrid("time grid fractions must lie in (0, 1]")
     if n_paths < 1:
-        raise errors.InvalidParams("n_paths must be positive")
+        raise errors.InvalidParams(f"n_paths must be >= 1, got {n_paths}")
 
     steps = model.steps_per_day
     chunk_paths = max(1, _BLOCK_BYTES // (8 * steps))
@@ -230,7 +219,7 @@ def estimate_alpha(model: PathModel, n_paths: int, time_grid) -> AlphaEstimate:
                 for c, row in zip(chunks, rows):
                     if stop.is_set():
                         return
-                    rng = np.random.default_rng(np.random.SeedSequence([model.seed, c]))
+                    rng = np.random.default_rng([model.seed, c])
                     z = _draw(model, rng, buf[:min(chunk_paths, n_paths - c * chunk_paths)])
                     walk = _prices(model, start_price, z)[:, :cols[-1]]
                     hi = np.maximum.accumulate(
@@ -264,8 +253,8 @@ def estimate_alpha(model: PathModel, n_paths: int, time_grid) -> AlphaEstimate:
     if np.any(mean_range <= 0):
         raise errors.ZeroRange("mean price range is zero on part of the grid; "
                                "the model produces no price movement there")
-    x = np.log10(idx / steps)
-    y = np.log10(mean_range)
+    # math.log10, not np.log10, whose last bits vary with the CPU
+    x, y = (np.array([math.log10(v) for v in a.tolist()]) for a in (idx / steps, mean_range))
     slope, _, _, stderr = _ols(x, y)
     return AlphaEstimate(alpha_hat=slope, stderr=stderr,
                          n_paths=n_paths, time_grid=grid)
@@ -287,10 +276,11 @@ class BookParams:
     n_windows: int = 100
 
     def __post_init__(self):
-        if self.start_price <= 0 or self.levels < 1:
-            raise errors.InvalidParams("invalid book parameters")
-        if self.n_snapshots < 1 or self.n_windows < 1:
-            raise errors.InvalidParams("need at least one snapshot and window")
+        if self.start_price <= 0:
+            raise errors.InvalidParams(f"start_price must be positive, got {self.start_price}")
+        for name in ("levels", "n_snapshots", "n_windows"):
+            if getattr(self, name) < 1:
+                raise errors.InvalidParams(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def _day_draws(model: PathModel, day_seed: int, row: np.ndarray,
@@ -299,13 +289,10 @@ def _day_draws(model: PathModel, day_seed: int, row: np.ndarray,
     stream [day_seed, 0]; return the (n_snapshots, 2) snapshot jitters from
     stream [day_seed, 1], each snapshot's depth jitter then its spread
     jitter. Every session, alone or in a block of days, is drawn here.
-
-    PCG64 keys a list seed as SeedSequence(list), so the streams are those
-    of default_rng(SeedSequence([day_seed, k])). Jitters numpy cannot
-    allocate raise InvalidParams naming n_snapshots.
+    Jitters numpy cannot allocate raise InvalidParams naming n_snapshots.
     """
-    _draw(model, np.random.Generator(np.random.PCG64([day_seed, 0])), row)
-    rng = np.random.Generator(np.random.PCG64([day_seed, 1]))
+    _draw(model, np.random.default_rng([day_seed, 0]), row)
+    rng = np.random.default_rng([day_seed, 1])
     try:
         return rng.standard_normal((n_snapshots, 2))
     except (ValueError, MemoryError):
@@ -352,16 +339,23 @@ def _signed_levels(levels: int) -> np.ndarray:
     return signed
 
 
-def _snapshots(walk: np.ndarray, daily_volume: float, day_range: float,
-               jitter: np.ndarray, levels: int):
-    """Timestamps, Books-layout prices and level volumes of a session's
-    len(jitter) snapshots, at steps spread uniformly through the day; walk
-    holds the price after each step (the start price excluded)."""
-    steps, n = len(walk), len(jitter)
+def _session(model: PathModel, book: BookParams, volume: float, day_seed: int):
+    """The session seeded day_seed, of positive daily volume: its prices
+    from the start price on, their running high and low, and the
+    timestamps, Books-layout prices and level volumes of its book.n_snapshots
+    snapshots, at steps spread uniformly through the day. The books are laid
+    out whatever the walk; the caller's checks refuse a day they fail."""
+    steps, n = model.steps_per_day, book.n_snapshots
+    prices = _walk_buffer(model, 1, steps + 1)[0]
+    prices[0] = book.start_price
+    jitter = _day_draws(model, day_seed, prices[1:], n)
+    _prices(model, book.start_price, prices[None, 1:])
+    hi = np.maximum.accumulate(prices)
+    lo = np.minimum.accumulate(prices)
     at = [max(1, round(k * steps / n)) for k in range(1, n + 1)]
-    return ([step / steps * _SESSION_LENGTH for step in at],
-            *_ladders([walk.item(step - 1) for step in at], [daily_volume] * n,
-                      [day_range] * n, jitter, levels))
+    return (prices, hi, lo, [step / steps * _SESSION_LENGTH for step in at],
+            *_ladders([prices.item(step) for step in at], [volume] * n,
+                      [hi.item(-1) - lo.item(-1)] * n, jitter, book.levels))
 
 
 def synth_session(model: PathModel, daily_volume: float, book_params: BookParams,
@@ -376,30 +370,21 @@ def synth_session(model: PathModel, daily_volume: float, book_params: BookParams
     """
     if daily_volume <= 0:
         raise errors.InvalidParams(f"daily_volume must be positive, got {daily_volume}")
-    s = model.seed if seed is None else seed
-    steps = model.steps_per_day
-    start = book_params.start_price
-    prices = _walk_buffer(model, 1, steps + 1)[0]
-    prices[0] = start
-    jitter = _day_draws(model, s, prices[1:], book_params.n_snapshots)
-    _prices(model, start, prices[None, 1:])
-    hi = np.maximum.accumulate(prices)
-    lo = np.minimum.accumulate(prices)
+    prices, hi, lo, times, price, level_volume = _session(
+        model, book_params, daily_volume, model.seed if seed is None else seed)
     low = float(lo[-1])
     if low <= 0:
-        raise errors.InvalidParams(
-            "price path crossed zero; lower volatility or drift")
+        raise errors.InvalidParams("price path crossed zero; lower volatility or drift")
 
     bar = DailyBar(instrument_id=instrument_id, date=day,
                    open=float(prices[0]), high=float(hi[-1]),
                    low=low, close=float(prices[-1]),
                    volume=float(daily_volume))
-    times, price, level_volume = _snapshots(prices[1:], daily_volume, bar.high - bar.low,
-                                            jitter, book_params.levels)
     snapshots = [OrderBookSnapshot(t, *(tuple([BookLevel(p, v) for p in side]) for side in sides))
                  for t, sides, v in zip(times, price.tolist(), level_volume.tolist())]
 
     windows = []
+    steps = model.steps_per_day
     for k in range(1, book_params.n_windows + 1):
         step = max(2, round(k * steps / book_params.n_windows))
         frac = step / steps
@@ -446,9 +431,9 @@ class InstrumentParams:
 
     def __post_init__(self):
         if self.base_volume <= 0:
-            raise errors.InvalidParams("base_volume must be positive")
+            raise errors.InvalidParams(f"base_volume must be positive, got {self.base_volume}")
         if self.volume_jitter < 0:
-            raise errors.InvalidParams("volume_jitter must be >= 0")
+            raise errors.InvalidParams(f"volume_jitter must be >= 0, got {self.volume_jitter}")
 
 
 @dataclass(frozen=True)
@@ -481,7 +466,7 @@ def default_universe(n_instruments: int = 50, start_price: float = 100.0,
     range of a Gaussian-return path is about price * sigma_day * sqrt(8/pi).
     """
     if n_instruments < 1:
-        raise errors.InvalidParams("need at least one instrument")
+        raise errors.InvalidParams(f"n_instruments must be >= 1, got {n_instruments}")
     lo, hi = 5.0, 10.0
     steps, range_fraction = 250, 0.02
     sigma_day = range_fraction / math.sqrt(8 / math.pi)
@@ -555,12 +540,7 @@ def _study_days(inst: InstrumentParams, book: BookParams, inst_rng, days: int):
 def _full_books(model: PathModel, book: BookParams, volume: float, day_seed: int):
     """The book.n_snapshots snapshots of the session seeded day_seed, as
     Books, or None when a level or book of them would be refused."""
-    walk = _walk_buffer(model, 1, model.steps_per_day)
-    jitter = _day_draws(model, day_seed, walk[0], book.n_snapshots)
-    prices = _prices(model, book.start_price, walk)[0]
-    day_range = float(np.maximum(prices.max(), book.start_price)
-                      - np.minimum(prices.min(), book.start_price))
-    times, price, level_volume = _snapshots(prices, volume, day_range, jitter, book.levels)
+    *_, times, price, level_volume = _session(model, book, volume, day_seed)
     level_volume = np.broadcast_to(level_volume[:, None, None], price.shape)
     if (BookLevel.rejects(price, level_volume).any()
             or OrderBookSnapshot.rejects(price, level_volume).any()):
@@ -582,20 +562,21 @@ def lixi_vs_lix_study(universe, days: int, seed: int,
 
     The days are built as arrays, not as synth_session records: each
     instrument's days in blocks of walk rows (_study_days), and the last
-    counted day once more with the full book, straight into Books. The
-    seeds, the draws and every value are those of building each day with
-    synth_session, so the values do not depend on the block size.
+    counted day once more with the full book by synth_session's helper
+    (_session), straight into Books. The seeds, the draws and every value
+    are those of building each day with synth_session, so the values do
+    not depend on the block size.
 
     Returns (RegressionReport, [StudyPoint]).
     """
     if days < 1:
-        raise errors.InvalidParams("days must be >= 1")
+        raise errors.InvalidParams(f"days must be >= 1, got {days}")
     universe = list(universe)
     points = []
     dropped = 0
     params = ScalingParams(0.5)
     for i, inst in enumerate(universe):
-        inst_rng = np.random.default_rng(np.random.SeedSequence([seed, 2, i]))
+        inst_rng = np.random.default_rng([seed, 2, i])
         book = replace(inst.book, n_snapshots=snapshots_per_day, n_windows=1)
         lix_values, volumes, last = _study_days(inst, book, inst_rng, days)
         if last is None:

@@ -1,6 +1,6 @@
 """Golden CLI outputs: exit code, stdout and stderr of each case of the table
 in `tools/cli_cases.py`, pinned byte for byte in `golden_cli.json`. Its
-UNPINNED cases, whose values go through np.log10, are checked for exit 0, an
+UNPINNED cases, whose walks go through np.exp, are checked for exit 0, an
 empty stderr, their fields and finite values instead. To pin the current
 outputs again after a deliberate change of output:
 
