@@ -231,7 +231,7 @@ def _read_bars(path):
 
 def _cmd_lix(args, out, err):
     bars = _read_bars(args.bars)
-    if args.date:
+    if args.date is not None:
         try:
             wanted = datetime.date.fromisoformat(args.date)
         except ValueError:
@@ -241,7 +241,7 @@ def _cmd_lix(args, out, err):
         i = bars.dates.index(wanted)
         bars = bars[i:i + 1]
     results = lix_daily_many(bars)
-    if args.date and isinstance(results[0], errors.LixError):  # the one day asked for
+    if args.date is not None and isinstance(results[0], errors.LixError):  # the one day asked for
         raise type(results[0])(f"{bars.dates[0]}: {results[0]}")
     dates, values = bars.dates, results
     if not {float}.issuperset(map(type, results)):  # some day has no index

@@ -204,13 +204,14 @@ def _floats(texts, count):
     return np.fromiter(map(float, texts), dtype=float, count=count)
 
 
-def read_bars(path, instrument_id: str | None = None) -> Bars:
-    """Read `date,open,high,low,close,volume` rows into Bars.
+def read_bars(path) -> Bars:
+    """Read `date,open,high,low,close,volume` rows into Bars of the
+    instrument named by the file stem.
 
     Bars are in ascending date order; duplicate dates are rejected, and each
     row must hold a valid DailyBar.
     """
-    instrument = instrument_id or Path(path).stem
+    instrument = Path(path).stem
     return _read(path, BAR_HEADER, functools.partial(_bars, instrument),
                  functools.partial(_check_bar_row, instrument))
 

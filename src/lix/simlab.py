@@ -7,6 +7,9 @@ log10(mean range) against log10(realised fraction) by least squares. The
 study generates a universe of synthetic instruments spanning several
 decades of liquidity, measures each one both ways (daily index averaged over
 days, snapshot index averaged over one day) and regresses one on the other.
+Walks stay offsets from their start price, their extremes are taken on the
+offsets, and only the offsets read become prices (_price, by libm's exp), so
+every value is the same on any CPU.
 
 All randomness is drawn from numpy generators keyed by a list seed,
 default_rng([seed, stream, ...]). estimate_alpha walks ~1 MiB chunks of
@@ -61,6 +64,11 @@ class WalkKind(enum.Enum):
     STUDENT_T_RETURNS = "t"
 
 
+# Bound once: an enum member read costs ~170 ns on Python 3.11, and _price
+# reads it for every point of a session it prices.
+_ARITHMETIC = WalkKind.ARITHMETIC_RANDOM_WALK
+
+
 @dataclass(frozen=True)
 class PathModel:
     """Price-path generator settings.
@@ -108,24 +116,34 @@ def _draw(model: PathModel, rng: np.random.Generator, out: np.ndarray) -> np.nda
     return out
 
 
-def _prices(model: PathModel, start_price: float, out: np.ndarray) -> np.ndarray:
+def _offsets(model: PathModel, out: np.ndarray) -> np.ndarray:
     """Turn out, a C-contiguous (rows, steps) array of _draw's draws, into
-    prices after each step (the start price excluded), in place; return it.
-
-    The draws are scaled, shifted by the drift, summed and offset by the
-    start price in place: the same float operations as start + cumsum(vol *
-    z + drift) (or start * exp(...)), so the values are bit-identical to
-    that formula.
-    """
+    each step's offset from the start price, cumsum(vol * z + drift), in
+    place; return it. An offset is a price change for the arithmetic walk
+    and a log-return for the returns models."""
     out *= model.volatility_per_step
     out += model.drift_per_step
     np.cumsum(out, axis=1, out=out)
-    if model.kind is WalkKind.ARITHMETIC_RANDOM_WALK:
-        out += start_price
-    else:
-        np.exp(out, out=out)
-        out *= start_price
     return out
+
+
+def _exp(x: float) -> float:
+    # libm's exp, the same on every CPU; inf past the float range, as numpy gives
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _price(model: PathModel, start_price: float, offsets):
+    """The prices at offsets (a float or an array) from the start price:
+    start + x, or start * exp(x) for the returns models. Both maps are
+    non-decreasing, so an extreme offset's price is the extreme price."""
+    if model.kind is _ARITHMETIC:
+        return start_price + offsets
+    if isinstance(offsets, float):
+        return start_price * _exp(offsets)
+    return start_price * np.reshape([_exp(x) for x in offsets.ravel().tolist()], offsets.shape)
 
 
 def _walk_buffer(model: PathModel, rows: int, steps: int) -> np.ndarray:
@@ -205,10 +223,10 @@ def estimate_alpha(model: PathModel, n_paths: int, time_grid) -> AlphaEstimate:
             f"time grid fractions {grid} round to repeated steps {idx.tolist()} "
             f"of {steps}; use more steps or a coarser grid")
     # The running extremes at the sorted grid steps are the extremes of the
-    # blocks between consecutive steps, accumulated over the blocks and
-    # joined with the start price; nothing past the last step is read.
+    # blocks between consecutive steps, accumulated over the blocks, joined
+    # with the start (offset 0.0) and priced; nothing past the last step is read.
     blocks = np.concatenate(([0], cols[:-1]))
-    start_price = 100.0
+    price_of = functools.partial(_price, model, 100.0)  # the start price
     sums = np.zeros(len(grid))
     stop = threading.Event()
 
@@ -221,12 +239,12 @@ def estimate_alpha(model: PathModel, n_paths: int, time_grid) -> AlphaEstimate:
                         return
                     rng = np.random.default_rng([model.seed, c])
                     z = _draw(model, rng, buf[:min(chunk_paths, n_paths - c * chunk_paths)])
-                    walk = _prices(model, start_price, z)[:, :cols[-1]]
+                    walk = _offsets(model, z)[:, :cols[-1]]
                     hi = np.maximum.accumulate(
                         np.maximum.reduceat(walk, blocks, axis=1), axis=1)
                     lo = np.minimum.accumulate(
                         np.minimum.reduceat(walk, blocks, axis=1), axis=1)
-                    ranges = np.maximum(hi, start_price) - np.minimum(lo, start_price)
+                    ranges = price_of(np.maximum(hi, 0.0)) - price_of(np.minimum(lo, 0.0))
                     row[...] = ranges[:, inv].sum(axis=0)
             except BaseException:
                 stop.set()  # the other worker starts no further chunk
@@ -340,22 +358,24 @@ def _signed_levels(levels: int) -> np.ndarray:
 
 
 def _session(model: PathModel, book: BookParams, volume: float, day_seed: int):
-    """The session seeded day_seed, of positive daily volume: its prices
-    from the start price on, their running high and low, and the
-    timestamps, Books-layout prices and level volumes of its book.n_snapshots
-    snapshots, at steps spread uniformly through the day. The books are laid
-    out whatever the walk; the caller's checks refuse a day they fail."""
-    steps, n = model.steps_per_day, book.n_snapshots
-    prices = _walk_buffer(model, 1, steps + 1)[0]
-    prices[0] = book.start_price
-    jitter = _day_draws(model, day_seed, prices[1:], n)
-    _prices(model, book.start_price, prices[None, 1:])
-    hi = np.maximum.accumulate(prices)
-    lo = np.minimum.accumulate(prices)
+    """The session seeded day_seed, of positive daily volume: its offsets
+    from the start price on (0.0 first), their running high and low, the
+    day's high and low prices, and the timestamps, Books-layout prices and
+    level volumes of its book.n_snapshots snapshots, at steps spread
+    uniformly through the day. The books are laid out whatever the walk;
+    the caller's checks refuse a day they fail."""
+    steps, n, start = model.steps_per_day, book.n_snapshots, book.start_price
+    walk = _walk_buffer(model, 1, steps + 1)[0]
+    walk[0] = 0.0
+    jitter = _day_draws(model, day_seed, walk[1:], n)
+    _offsets(model, walk[None, 1:])
+    hi = np.maximum.accumulate(walk)
+    lo = np.minimum.accumulate(walk)
+    high, low = _price(model, start, hi.item(-1)), _price(model, start, lo.item(-1))
     at = [max(1, round(k * steps / n)) for k in range(1, n + 1)]
-    return (prices, hi, lo, [step / steps * _SESSION_LENGTH for step in at],
-            *_ladders([prices.item(step) for step in at], [volume] * n,
-                      [hi.item(-1) - lo.item(-1)] * n, jitter, book.levels))
+    return (walk, hi, lo, high, low, [step / steps * _SESSION_LENGTH for step in at],
+            *_ladders([_price(model, start, walk.item(step)) for step in at], [volume] * n,
+                      [high - low] * n, jitter, book.levels))
 
 
 def synth_session(model: PathModel, daily_volume: float, book_params: BookParams,
@@ -370,15 +390,14 @@ def synth_session(model: PathModel, daily_volume: float, book_params: BookParams
     """
     if daily_volume <= 0:
         raise errors.InvalidParams(f"daily_volume must be positive, got {daily_volume}")
-    prices, hi, lo, times, price, level_volume = _session(
+    walk, hi, lo, high, low, times, price, level_volume = _session(
         model, book_params, daily_volume, model.seed if seed is None else seed)
-    low = float(lo[-1])
     if low <= 0:
         raise errors.InvalidParams("price path crossed zero; lower volatility or drift")
 
-    bar = DailyBar(instrument_id=instrument_id, date=day,
-                   open=float(prices[0]), high=float(hi[-1]),
-                   low=low, close=float(prices[-1]),
+    start = book_params.start_price
+    bar = DailyBar(instrument_id=instrument_id, date=day, open=float(start), high=high,
+                   low=low, close=_price(model, start, walk.item(-1)),
                    volume=float(daily_volume))
     snapshots = [OrderBookSnapshot(t, *(tuple([BookLevel(p, v) for p in side]) for side in sides))
                  for t, sides, v in zip(times, price.tolist(), level_volume.tolist())]
@@ -390,8 +409,9 @@ def synth_session(model: PathModel, daily_volume: float, book_params: BookParams
         frac = step / steps
         windows.append(IntradayWindow(
             elapsed=frac * _SESSION_LENGTH, session_length=_SESSION_LENGTH,
-            cum_volume=daily_volume * frac, high_t=float(hi[step]),
-            low_t=float(lo[step]), last_price=float(prices[step])))
+            cum_volume=daily_volume * frac, high_t=_price(model, start, hi.item(step)),
+            low_t=_price(model, start, lo.item(step)),
+            last_price=_price(model, start, walk.item(step))))
     return bar, snapshots, windows
 
 
@@ -508,10 +528,10 @@ def _study_days(inst: InstrumentParams, book: BookParams, inst_rng, days: int):
             day_volumes.append(volume)
             jitters.append(_day_draws(model, day_seeds[-1], row, 1))
         with np.errstate(all="ignore"):  # a non-finite day fails the checks below
-            prices = _prices(model, start, block)
-            high = np.maximum(prices.max(axis=1), start)
-            low = np.minimum(prices.min(axis=1), start)
-        close = prices[:, -1]
+            _offsets(model, block)
+            high = _price(model, start, np.maximum(block.max(axis=1), 0.0))
+            low = _price(model, start, np.minimum(block.min(axis=1), 0.0))
+            close = _price(model, start, block[:, -1])
         volume = np.array(day_volumes, dtype=float)
         open_ = np.full(len(block), float(start))
         # The one window spans the whole day, so it asks low <= close <=

@@ -1,6 +1,7 @@
 """Oracles for `lix.simlab`, which walks its paths in place, in chunks and
-in blocks of days, and must give their values bit for bit: whole price
-paths (simulate_paths, itself checked against the out-of-place formula of
+in blocks of days, takes extremes on offsets and prices only those it reads,
+and must give their values bit for bit: whole price paths, priced at every
+step (simulate_paths, itself checked against the out-of-place formula of
 paths_oracle), sessions worked out one Python float at a time, the alpha
 fit over every step of whole paths, and the study built from records.
 """
@@ -27,8 +28,8 @@ def simulate_paths(model, n_paths, seed=None, start_price=100.0, stream=0):
     rng = np.random.default_rng(np.random.SeedSequence([s, stream]))
     out = simlab._walk_buffer(model, n_paths, model.steps_per_day + 1)
     out[:, 0] = start_price
-    walk = simlab._walk_buffer(model, n_paths, model.steps_per_day)
-    out[:, 1:] = simlab._prices(model, start_price, simlab._draw(model, rng, walk))
+    walk = simlab._draw(model, rng, simlab._walk_buffer(model, n_paths, model.steps_per_day))
+    out[:, 1:] = simlab._price(model, start_price, simlab._offsets(model, walk))
     return out
 
 
@@ -48,7 +49,7 @@ def paths_oracle(model, n_paths, seed, start_price, stream):
     if model.kind is WalkKind.ARITHMETIC_RANDOM_WALK:
         out[:, 1:] = start_price + np.cumsum(inc, axis=1)
     else:
-        out[:, 1:] = start_price * np.exp(np.cumsum(inc, axis=1))
+        out[:, 1:] = start_price * np.vectorize(math.exp)(np.cumsum(inc, axis=1))
     return out
 
 

@@ -176,3 +176,7 @@ class TestWindowType:
         b = make_bar(day=datetime.date(2020, 1, 2))
         with pytest.raises(errors.InvariantViolation):
             MultiDayWindow((a, b), shares_outstanding=1e8)
+
+    def test_no_bars(self):
+        with pytest.raises(errors.EmptyDataset, match="^window has no bars$"):
+            MultiDayWindow((), shares_outstanding=1e8)

@@ -83,9 +83,9 @@ class TestParseDailyBars:
                          close=50.5, volume=123456.75,
                          day=datetime.date(2020, 1, 1) + datetime.timedelta(days=i))
                 for i in range(3)]
-        path = tmp_path / "rt.csv"
+        path = tmp_path / "TEST.csv"  # the instrument is the file stem
         write_daily_bars(bars, path)
-        parsed = list(read_bars(path, instrument_id="TEST"))
+        parsed = list(read_bars(path))
         assert parsed == bars
 
 

@@ -136,12 +136,12 @@ class TestBitIdentity:
         report, points = lixi_vs_lix_study(default_universe(4, seed=5), days=3,
                                            seed=5, snapshots_per_day=6)
         assert repr(report) == (
-            "RegressionReport(slope=0.9779117490292107, intercept=0.18598377052660808, "
+            "RegressionReport(slope=0.9779117490292122, intercept=0.18598377052659743, "
             "r_squared=0.9960315223853798, n_points=4, n_dropped=0)")
         assert [(p.mean_lix, p.mean_lixi) for p in points] == [
-            (5.28161071040736, 5.274536884900969),
+            (5.281610710407363, 5.274536884900964),
             (6.728461237420505, 6.933481752953465),
-            (8.47558776923532, 8.352609883669185),
+            (8.475587769235318, 8.352609883669185),
             (10.079720910474352, 10.073551389801603)]
 
     @pytest.mark.parametrize("case", sorted(STUDY_CASES))
@@ -327,7 +327,7 @@ class TestEstimateAlpha:
         # or when chunk 2 interrupts the waiting caller. Each walk after that
         # is slowed, so a worker that goes on past the chunk it has begun
         # shows.
-        real_draw, real_prices = simlab._draw, simlab._prices
+        real_draw, real_offsets = simlab._draw, simlab._offsets
         current = threading.local()
 
         def draw(model, rng, out):
@@ -357,9 +357,9 @@ class TestEstimateAlpha:
                     if current.chunk == failing:
                         faulted.set()
                         fault()
-                    return real_prices(*args)
+                    return real_offsets(*args)
 
-                monkeypatch.setattr(simlab, "_prices", failing_chunk)
+                monkeypatch.setattr(simlab, "_offsets", failing_chunk)
                 before = threading.active_count()
                 with pytest.raises(error):
                     estimate_alpha(RW, 100 * chunk_paths(RW), GRID)
@@ -385,7 +385,7 @@ class TestEstimateAlpha:
         def failing_walk(*args):
             raise errors.InvalidParams("synthetic failure")
 
-        monkeypatch.setattr(simlab, "_prices", failing_walk)
+        monkeypatch.setattr(simlab, "_offsets", failing_walk)
         with pytest.raises(errors.InvalidParams, match="synthetic failure"):
             estimate_alpha(RW, 10 ** 15, GRID)
 
@@ -438,6 +438,21 @@ class TestPathModelValidation:
         with pytest.raises(errors.InvalidParams,
                            match=f"^{field} must be finite, got {value}$"):
             PathModel(kind=WalkKind.ARITHMETIC_RANDOM_WALK, **{field: value})
+
+
+class TestBookAndInstrumentValidation:
+    @pytest.mark.parametrize("start_price", [0, -1.5])
+    def test_start_price_must_be_positive(self, start_price):
+        with pytest.raises(errors.InvalidParams,
+                           match=f"^start_price must be positive, got {start_price}$"):
+            BookParams(start_price=start_price)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("base_volume", 0.0, "base_volume must be positive, got 0.0"),
+        ("volume_jitter", -0.25, "volume_jitter must be >= 0, got -0.25")])
+    def test_instrument_checks_name_their_value(self, field, value, message):
+        with pytest.raises(errors.InvalidParams, match=f"^{message}$"):
+            dataclasses.replace(_instrument("X"), **{field: value})
 
 
 class TestSynthSession:
@@ -556,6 +571,17 @@ class TestExactScalingSession:
             scaled = time_scale_to_daily(lix_intraday_raw(w), w.elapsed,
                                          w.session_length, ScalingParams(alpha))
             assert scaled.value == pytest.approx(daily, abs=1e-10)
+
+    def test_flat_bar_has_no_range(self):
+        bar = DailyBar("FLAT", datetime.date(2020, 1, 2), 50.0, 50.0, 50.0, 50.0, 1e6)
+        with pytest.raises(errors.ZeroRange, match="^full-day bar has no range$"):
+            exact_scaling_session(bar, 0.5, [1.0])
+
+    @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.5, math.nan])
+    def test_fraction_outside_the_session(self, reference_bar, fraction):
+        with pytest.raises(errors.DegenerateGrid,
+                           match=rf"^fraction {fraction} outside \(0, 1\]$"):
+            exact_scaling_session(reference_bar, 0.5, [0.5, fraction])
 
 
 class TestStudy:

@@ -1,5 +1,5 @@
-"""The `lix` CLI cases that `tests/golden_cli.json` pins (all but UNPINNED)
-and `tools/parity.py` compares: one table, its input files and one runner.
+"""The `lix` CLI cases that `tests/golden_cli.json` pins and
+`tools/parity.py` compares: one table, its input files and one runner.
 
 A case is (name, argv, LIX_PRECISION or None), `{dir}` in argv standing for
 the directory `write_inputs` fills. COMMANDS run on hand-written files in
@@ -63,12 +63,14 @@ BOOK_HEADER = "timestamp,side,level,price,volume"
 POSITION_HEADER = "instrument,beta,lix"
 
 # The hand-written files; pinned errors show the header-only and empty ones' names.
+# Every day of flat_bars.csv has a zero price range, so none has an index.
 SMALL_FILES = {"small_bars.csv": BARS, "small_book.csv": BOOK,
                "small_positions.csv": POSITIONS, "extreme.csv": EXTREME_POSITIONS,
                "book_header.csv": f"{BOOK_HEADER}\n",
                "positions_header.csv": f"{POSITION_HEADER}\n", "empty.csv": "",
                "latin1.csv": f"{BAR_HEADER}\ncaf\xe9,1,2,1,1,1\n",
-               "bad_header.csv": "dote,open,high,low,close,volume\n"}
+               "bad_header.csv": "dote,open,high,low,close,volume\n",
+               "flat_bars.csv": f"{BAR_HEADER}\n2020-01-02,5,5,5,5,100\n2020-01-03,6,6,6,6,200\n"}
 
 COST = ["--shares", "50000", "--price", "25.5", "--lix", "7.25", "--slice-t", "600",
         "--session", "23400"]
@@ -321,14 +323,12 @@ def _table() -> list:
         ("study_no_days-text-unset", ["study", "--days", "0", "--instruments", "2"], None),
         ("study_no_instruments-text-unset", ["study", "--instruments", "0"], None),
         ("calibrate_no_paths-text-unset", ["calibrate-alpha", "--paths", "0", "--steps", "20"],
-         None)]
+         None),
+        ("lix_empty_date-text-unset", ["lix", "{dir}/small_bars.csv", "--date", ""], None),
+        ("lix_all_flat-text-unset", ["lix", "{dir}/flat_bars.csv"], None)]
 
 
 CASES = _table()
-# Successful calibrate-alpha runs of returns models and study runs: their
-# walks go through np.exp, whose last digits vary by CPU.
-UNPINNED = [name for name, _, _ in CASES if name.partition("-")[0] in
-            ("calibrate_gauss", "calibrate_t", "study", "study_two_blocks")]
 
 
 def run(case: tuple, directory) -> list:
