@@ -372,7 +372,7 @@ def _cmd_study(args, out, err):
     report, points = simlab.lixi_vs_lix_study(universe, days=args.days,
                                               seed=args.seed,
                                               snapshots_per_day=args.snapshots)
-    if args.points_csv:
+    if args.points_csv is not None:
         columns = {"instrument": [pt.instrument_id for pt in points],
                    "mean_lix": [pt.mean_lix for pt in points],
                    "mean_lixi": [pt.mean_lixi for pt in points]}

@@ -182,7 +182,12 @@ def side_vwap(levels) -> float:
         raise errors.EmptySide("no levels on this side of the book")
     vwap, _ = _side_terms(np.array([[[lv.price for lv in levels]]]),
                           np.array([[[lv.volume for lv in levels]]]))
-    return vwap.item()
+    vwap = vwap.item()
+    if not math.isfinite(vwap):
+        raise errors.InvalidParams(f"VWAP must be finite, got {vwap}")
+    if not vwap > 0:  # price x volume underflowed to 0
+        raise errors.InvalidParams(f"VWAP must be positive, got {vwap}")
+    return vwap
 
 
 def _at(books: Books, i: int) -> str:

@@ -523,7 +523,7 @@ def _study_days(inst: InstrumentParams, book: BookParams, inst_rng, days: int):
         for row in block:
             volume = inst.base_volume
             if inst.volume_jitter > 0:
-                volume *= math.exp(inst.volume_jitter * inst_rng.standard_normal())
+                volume *= _exp(inst.volume_jitter * inst_rng.standard_normal())
             day_seeds.append(int(inst_rng.integers(0, 2 ** 62)))
             day_volumes.append(volume)
             jitters.append(_day_draws(model, day_seeds[-1], row, 1))

@@ -136,7 +136,10 @@ def study_oracle(universe, days, seed, snapshots_per_day=100):
         for d in range(days):
             volume = inst.base_volume
             if inst.volume_jitter > 0:
-                volume *= math.exp(inst.volume_jitter * inst_rng.standard_normal())
+                try:
+                    volume *= math.exp(inst.volume_jitter * inst_rng.standard_normal())
+                except OverflowError:  # past the float range: no bar takes this volume
+                    volume = math.inf
             day_seed = int(inst_rng.integers(0, 2 ** 62))
             date = datetime.date(2020, 1, 1) + datetime.timedelta(days=d)
             try:

@@ -7,8 +7,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-# cli_cases is tools/cli_cases.py, which tools/parity.py imports beside itself.
-ALLOWED = set(sys.stdlib_module_names) | {"numpy", "lix", "cli_cases"}
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "lix"}
 MODULES = sorted([*(ROOT / "src" / "lix").glob("*.py"), *(ROOT / "tools").glob("*.py")])
 
 

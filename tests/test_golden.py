@@ -1,10 +1,14 @@
 """Golden CLI outputs: exit code, stdout and stderr of every case of the
 table in `tools/cli_cases.py`, pinned byte for byte in `golden_cli.json`.
 The calibrate-alpha and study runs are pinned too: simlab prices its walks
-with libm's exp, whose values do not vary with the CPU. To pin the current
-outputs again after a deliberate change of output:
+with libm's exp, whose values do not vary with the CPU. This file is the
+one check of the CLI's output. To pin the current outputs again after a
+deliberate change of output:
 
     PYTHONPATH=src python tests/test_golden.py
+
+It prints how many cases changed and names each case whose pin changed,
+was added or was dropped.
 """
 
 import json
@@ -50,5 +54,9 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         cli_cases.write_inputs(Path(tmp))
         pinned = {name: cli_cases.run(case, Path(tmp)) for name, case in CASES.items()}
+    old = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    changed = sorted(name for name in old.keys() | pinned.keys()
+                     if old.get(name) != pinned.get(name))
     GOLDEN.write_text(json.dumps(pinned, indent=1) + "\n", encoding="utf-8")
-    sys.stdout.write(f"pinned {len(pinned)} cases in {GOLDEN}\n")
+    sys.stdout.write(f"pinned {len(pinned)} cases in {GOLDEN}, {len(changed)} changed\n")
+    sys.stdout.writelines(f"  {name}\n" for name in changed)

@@ -43,6 +43,15 @@ class TestSideVwap:
         with pytest.raises(errors.EmptySide):
             side_vwap([])
 
+    @pytest.mark.parametrize("levels, message", [
+        ([BookLevel(1e300, 1e300), BookLevel(9e299, 1e300)], "VWAP must be finite, got inf"),
+        ([BookLevel(2.0, 1e308), BookLevel(1.0, 1e308)], "VWAP must be finite, got nan"),
+        ([BookLevel(1e-300, 1e-300)], "VWAP must be positive, got 0.0")],
+        ids=["value_overflow", "volume_overflow", "value_underflow"])
+    def test_undefined_vwap(self, levels, message):
+        with pytest.raises(errors.InvalidParams, match=f"^{message}$"):
+            side_vwap(levels)
+
 
 class TestLixiTau:
     def test_reference(self):

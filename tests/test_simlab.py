@@ -17,8 +17,9 @@ from lix import errors, lix_daily, lix_intraday_raw, simlab, time_scale_to_daily
 from lix.measures import DailyBar, IntradayWindow, ScalingParams
 from lix.orderbook import BookLevel, Books, OrderBookSnapshot
 from lix.simlab import (AlphaEstimate, BookParams, InstrumentParams, PathModel,
-                        WalkKind, _ols, default_universe, estimate_alpha,
-                        exact_scaling_session, lixi_vs_lix_study, synth_session)
+                        RegressionReport, WalkKind, _ols, default_universe,
+                        estimate_alpha, exact_scaling_session, lixi_vs_lix_study,
+                        synth_session)
 from sim_oracle import (alpha_oracle, chunk_paths, paths_oracle, session_oracle,
                         simulate_paths, study_oracle)
 
@@ -63,13 +64,18 @@ STUDY_CASES.update({name: (default_universe(3, seed=2) + [inst], days, 2, 7) for
     ("volume_underflow", _instrument("TINY", base_volume=5e-324), 10),
     # The jittered daily volume itself underflows to 0 on some days.
     ("zero_volume", _instrument("NONE", base_volume=5e-324, volume_jitter=3.0), 10),
+    # exp of the volume jitter overflows on some days: an inf volume no bar takes.
+    ("volume_overflow", _instrument("SPIKE", base_volume=1.0, volume_jitter=1000.0), 6),
     # Prices of a few subnormal steps: some days' spread rounds to a few
     # steps or none, so their levels tie, which no snapshot accepts.
     ("subnormal_prices", _instrument("SUBN", vol=0.3, start_price=5e-323), 20),
-    # The last counted day's full book has a level of volume 0; or every
-    # snapshot's VWAP underflows, so the day has no snapshot index.
+    # The last counted day's full book has a level of volume 0. THINNER's
+    # one-snapshot book has one on every day already, so no day counts.
     ("full_book_refused", _instrument("THIN", base_volume=1e-321), 10),
     ("no_snapshot_index", _instrument("THINNER", base_volume=5e-322), 10),
+    # One day's volume dwarfs the last counted day's, so the ADV over the
+    # displayed volume overflows on every snapshot: no snapshot index.
+    ("adv_ratio_overflow", _instrument("JUMPY", base_volume=1.0, volume_jitter=200.0), 12),
     ("no_volume_jitter", _instrument("STILL", volume_jitter=0.0, levels=3), 4),
     ("int_prices", _instrument("INT", base_volume=10 ** 6, volume_jitter=0.0,
                                start_price=50, levels=1), 4),
@@ -605,6 +611,19 @@ class TestStudy:
     def test_one_instrument_is_degenerate(self):
         with pytest.raises(errors.DegenerateRegression):
             lixi_vs_lix_study(default_universe(1), days=3, seed=0)
+
+    def test_identical_instruments_are_degenerate(self):
+        # Drift-only twins have one mean LIX: two points, one x value.
+        twins = [_instrument(name, vol=0.0, drift=0.001, volume_jitter=0.0) for name in "AB"]
+        with pytest.raises(errors.DegenerateRegression,
+                           match="^need >= 2 distinct x values$"):
+            lixi_vs_lix_study(twins, days=2, seed=0)
+
+    @pytest.mark.parametrize("r_squared", [1.5, math.nan])
+    def test_report_r_squared_outside_0_1(self, r_squared):
+        with pytest.raises(errors.InvalidParams,
+                           match=rf"^r_squared {r_squared} outside \[0, 1\]$"):
+            RegressionReport(slope=1.0, intercept=0.0, r_squared=r_squared, n_points=2)
 
     def test_price_scale_invariance(self):
         # multiplying every start price by a constant shifts both averages

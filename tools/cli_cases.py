@@ -1,5 +1,5 @@
-"""The `lix` CLI cases that `tests/golden_cli.json` pins and
-`tools/parity.py` compares: one table, its input files and one runner.
+"""The `lix` CLI cases that `tests/golden_cli.json` pins byte for byte:
+one table, its input files and one runner.
 
 A case is (name, argv, LIX_PRECISION or None), `{dir}` in argv standing for
 the directory `write_inputs` fills. COMMANDS run on hand-written files in
@@ -325,7 +325,9 @@ def _table() -> list:
         ("calibrate_no_paths-text-unset", ["calibrate-alpha", "--paths", "0", "--steps", "20"],
          None),
         ("lix_empty_date-text-unset", ["lix", "{dir}/small_bars.csv", "--date", ""], None),
-        ("lix_all_flat-text-unset", ["lix", "{dir}/flat_bars.csv"], None)]
+        ("lix_all_flat-text-unset", ["lix", "{dir}/flat_bars.csv"], None),
+        ("study_empty_points_csv-text-unset", ["study", "--instruments", "2", "--days", "1",
+                                               "--snapshots", "2", "--points-csv", ""], None)]
 
 
 CASES = _table()
