@@ -367,16 +367,23 @@ def _cmd_calibrate_alpha(args, out, err):
 
 
 def _cmd_study(args, out, err):
-    universe = simlab.default_universe(n_instruments=args.instruments,
-                                       seed=args.seed)
-    report, points = simlab.lixi_vs_lix_study(universe, days=args.days,
-                                              seed=args.seed,
-                                              snapshots_per_day=args.snapshots)
-    if args.points_csv is not None:
-        columns = {"instrument": [pt.instrument_id for pt in points],
-                   "mean_lix": [pt.mean_lix for pt in points],
-                   "mean_lixi": [pt.mean_lixi for pt in points]}
-        with open(args.points_csv, "w", encoding="utf-8", newline="") as f:
+    # --points-csv is opened before the study runs, so a bad path fails at
+    # once; a study that fails leaves the file empty.
+    try:
+        points_csv = (contextlib.nullcontext() if args.points_csv is None
+                      else open(args.points_csv, "w", encoding="utf-8", newline=""))
+    except OSError as exc:
+        raise OSError(f"--points-csv: {exc}") from None
+    with points_csv as f:
+        universe = simlab.default_universe(n_instruments=args.instruments,
+                                           seed=args.seed)
+        report, points = simlab.lixi_vs_lix_study(universe, days=args.days,
+                                                  seed=args.seed,
+                                                  snapshots_per_day=args.snapshots)
+        if f is not None:
+            columns = {"instrument": [pt.instrument_id for pt in points],
+                       "mean_lix": [pt.mean_lix for pt in points],
+                       "mean_lixi": [pt.mean_lixi for pt in points]}
             _emit(columns, args, f, "csv")
     row = {"slope": report.slope, "intercept": report.intercept,
            "r_squared": report.r_squared, "n_points": report.n_points,

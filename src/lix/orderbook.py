@@ -6,10 +6,13 @@ prices (the effective spread of an order that wipes out the book). An
 ADV-based correction makes the value comparable to daily LIX.
 
 `Books` holds many snapshots as arrays, one (n_books, depth) price and
-volume array per side. One kernel computes each book's VWAP gap, touch
-midprice and total volume; `lixi_many` and `lixi_decomposed_many` read it
-for a whole file, and `lixi_tau`, `lixi`, `relative_spread` and
-`lixi_decomposed` are its views on one `OrderBookSnapshot`.
+volume array per side. Each side's VWAP and volume are summed for all books
+at once; then one pass over the books checks each book once, and either
+gives its VWAP gap, touch midprice and total volume to a measure or names
+the first check it fails, with its timestamp. `lixi_many` and
+`lixi_decomposed_many` run that pass over a whole file, and `lixi_tau`,
+`lixi`, `relative_spread` and `lixi_decomposed` run it on one
+`OrderBookSnapshot`.
 """
 
 from __future__ import annotations
@@ -190,46 +193,43 @@ def side_vwap(levels) -> float:
     return vwap
 
 
-def _at(books: Books, i: int) -> str:
-    return f"(t={books.timestamps[i].item()})"
+def _fault(vwap_bid, vwap_ask, bid_volume, ask_volume) -> errors.LixError:
+    """The first check failed by a book whose side VWAPs and volumes leave
+    its LIXI undefined."""
+    if not bid_volume:
+        return errors.EmptySide("bid side is empty")
+    if not ask_volume:
+        return errors.EmptySide("ask side is empty")
+    if not math.isfinite(vwap_bid):
+        return errors.InvalidParams(f"bid-side VWAP must be finite, got {vwap_bid}")
+    if not math.isfinite(vwap_ask):
+        return errors.InvalidParams(f"ask-side VWAP must be finite, got {vwap_ask}")
+    if not vwap_bid > 0:  # price x volume underflowed to 0
+        return errors.InvalidParams(f"bid-side VWAP must be positive, got {vwap_bid}")
+    if not vwap_ask > 0:
+        return errors.InvalidParams(f"ask-side VWAP must be positive, got {vwap_ask}")
+    return errors.CrossedBook(f"ask-side VWAP {vwap_ask} <= bid-side VWAP {vwap_bid}")
 
 
-def _book_terms(books: Books):
-    """(VWAP gap, touch midprice, total displayed volume) of every book, as
-    float64 arrays, and {index: LixError} for the books they are undefined on."""
+def _per_book(books: Books, value) -> list:
+    """value(gap, mid, volume) of each book, in order: its VWAP gap, touch
+    midprice and total displayed volume, as Python floats. A book they are
+    undefined on gets the first check it fails, and every LixError gets the
+    book's timestamp."""
     vwap, side_volume = _side_terms(books.price, books.volume)
-    vwap_bid, vwap_ask = vwap.T
-    bid_volume, ask_volume = side_volume.T
-    with np.errstate(all="ignore"):
-        gap = vwap_ask - vwap_bid
-        mid = (books.price[:, 1, 0] + books.price[:, 0, 0]) / 2
-        volume = bid_volume + ask_volume
-        undefined = ((bid_volume == 0) | (ask_volume == 0)
-                     | ~(np.isfinite(vwap) & (vwap > 0)).all(axis=1) | (vwap_ask <= vwap_bid))
-    faults = {}
-    for i in undefined.nonzero()[0].tolist():
-        at = _at(books, i)
-        if bid_volume[i] == 0:
-            faults[i] = errors.EmptySide(f"bid side is empty {at}")
-        elif ask_volume[i] == 0:
-            faults[i] = errors.EmptySide(f"ask side is empty {at}")
-        elif not math.isfinite(vwap_bid[i]):
-            faults[i] = errors.InvalidParams(
-                f"bid-side VWAP must be finite, got {vwap_bid[i].item()} {at}")
-        elif not math.isfinite(vwap_ask[i]):
-            faults[i] = errors.InvalidParams(
-                f"ask-side VWAP must be finite, got {vwap_ask[i].item()} {at}")
-        elif not vwap_bid[i] > 0:  # price x volume underflowed to 0
-            faults[i] = errors.InvalidParams(
-                f"bid-side VWAP must be positive, got {vwap_bid[i].item()} {at}")
-        elif not vwap_ask[i] > 0:
-            faults[i] = errors.InvalidParams(
-                f"ask-side VWAP must be positive, got {vwap_ask[i].item()} {at}")
-        else:
-            faults[i] = errors.CrossedBook(
-                f"ask-side VWAP {vwap_ask[i].item()} <= bid-side VWAP "
-                f"{vwap_bid[i].item()} {at}")
-    return gap, mid, volume, faults
+    out = []
+    for t, vwap_bid, vwap_ask, bid_volume, ask_volume, bid, ask in zip(
+            books.timestamps.tolist(), *vwap.T.tolist(), *side_volume.T.tolist(),
+            *books.price[:, :, 0].T.tolist()):
+        try:
+            # Both sides have volume, both VWAPs are finite and positive, and
+            # the ask VWAP is above the bid's; else name the first failure.
+            if not (bid_volume and ask_volume and 0 < vwap_bid < vwap_ask < math.inf):
+                raise _fault(vwap_bid, vwap_ask, bid_volume, ask_volume)
+            out.append(value(vwap_ask - vwap_bid, (ask + bid) / 2, bid_volume + ask_volume))
+        except errors.LixError as exc:
+            out.append(type(exc)(f"{exc} (t={t})"))
+    return out
 
 
 def _raise_or_value(result):
@@ -238,42 +238,20 @@ def _raise_or_value(result):
     return result
 
 
-def _one_book_terms(book: OrderBookSnapshot):
-    gap, mid, volume, faults = _book_terms(Books.of([book]))
-    _raise_or_value(faults.get(0))
-    return gap.item(), mid.item(), volume.item()
-
-
-def _per_book(books: Books, faults: dict, value, *columns) -> list:
-    """value(*terms) for each book's terms in `columns`, in order; a book in
-    `faults` gets its fault, and a LixError `value` raises gets the book's
-    timestamp."""
-    out = []
-    for i, terms in enumerate(zip(*columns)):
-        try:
-            out.append(faults[i] if i in faults else value(*terms))
-        except errors.LixError as exc:
-            out.append(type(exc)(f"{exc} {_at(books, i)}"))
-    return out
-
-
 def lixi_many(books: Books, ctx: AdvContext,
               params: ScalingParams = ScalingParams()) -> list:
     """LIXI of every book, in order: the value of lixi(book, ctx, params), or
     the LixError it raises for that book."""
-    gap, mid, volume, faults = _book_terms(books)
-    with np.errstate(all="ignore"):
-        depth_ratio = volume * mid / gap
-        adv_ratio = ctx.adv / volume
     scale = 1 - params.alpha
-    return _per_book(books, faults, lambda x, y: _log10(x) + scale * _log10(y),
-                     depth_ratio.tolist(), adv_ratio.tolist())
+    return _per_book(books, lambda gap, mid, volume: (
+        _log10(volume * mid / gap) + scale * _log10(ctx.adv / volume)))
 
 
 def lixi_tau(book: OrderBookSnapshot) -> LiquidityIndex:
     """Instantaneous liquidity of one snapshot, on its own (tau) time scale."""
-    gap, mid, total_volume = _one_book_terms(book)
-    return LiquidityIndex(_log10(total_volume * mid / gap), LixKind.INSTANTANEOUS)
+    ratio = _raise_or_value(
+        _per_book(Books.of([book]), lambda gap, mid, volume: volume * mid / gap)[0])
+    return LiquidityIndex(_log10(ratio), LixKind.INSTANTANEOUS)
 
 
 def lixi(book: OrderBookSnapshot, ctx: AdvContext,
@@ -291,8 +269,7 @@ def lixi(book: OrderBookSnapshot, ctx: AdvContext,
 
 def relative_spread(book: OrderBookSnapshot) -> float:
     """VWAP spread divided by touch midprice; dimensionless and positive."""
-    gap, mid, _ = _one_book_terms(book)
-    return gap / mid
+    return _raise_or_value(_per_book(Books.of([book]), lambda gap, mid, _: gap / mid)[0])
 
 
 @dataclass(frozen=True)
@@ -308,17 +285,14 @@ class LixiDecomposition:
 def lixi_decomposed_many(books: Books, ctx: AdvContext) -> list:
     """LixiDecomposition of every book, in order, or the LixError
     lixi_decomposed raises for that book."""
-    gap, mid, volume, faults = _book_terms(books)
-    with np.errstate(all="ignore"):
-        spread = gap / mid
     adv_term = 0.5 * _log10(ctx.adv)
 
-    def decomposed(s, v):
-        spread_term = -_log10(s)
-        depth_term = 0.5 * _log10(v)
+    def decomposed(gap, mid, volume):
+        spread_term = -_log10(gap / mid)
+        depth_term = 0.5 * _log10(volume)
         return LixiDecomposition(spread_term, depth_term, adv_term,
                                  spread_term + depth_term + adv_term)
-    return _per_book(books, faults, decomposed, spread.tolist(), volume.tolist())
+    return _per_book(books, decomposed)
 
 
 def lixi_decomposed(book: OrderBookSnapshot, ctx: AdvContext) -> LixiDecomposition:

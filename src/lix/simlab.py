@@ -591,6 +591,8 @@ def lixi_vs_lix_study(universe, days: int, seed: int,
     """
     if days < 1:
         raise errors.InvalidParams(f"days must be >= 1, got {days}")
+    if seed < 0:
+        raise errors.InvalidParams(f"seed must be non-negative, got {seed}")
     universe = list(universe)
     points = []
     dropped = 0

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lix import cli
+from lix import cli, simlab
 from lix.cli import _parse_args, build_parser, main
 
 BARS = """date,open,high,low,close,volume
@@ -562,6 +562,15 @@ class TestStudyCommand:
                                 "n_points", "n_dropped"}
         header = open(points).readline().strip()
         assert header == "instrument,mean_lix,mean_lixi"
+
+    def test_points_csv_in_a_missing_directory_fails_before_the_study(self, tmp_path,
+                                                                     monkeypatch):
+        calls = []
+        monkeypatch.setattr(simlab, "lixi_vs_lix_study", lambda *a, **k: calls.append(a))
+        path = tmp_path / "missing" / "points.csv"
+        code, out, err = run(["study", "--points-csv", str(path)])
+        assert (code, out, calls) == (2, "", [])
+        assert err == f"error: --points-csv: [Errno 2] No such file or directory: '{path}'\n"
 
     def test_csv_format(self):
         code, out, _ = run(["study", "--instruments", "5", "--days", "3",

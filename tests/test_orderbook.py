@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from lix import (AdvContext, BookLevel, Books, OrderBookSnapshot, ScalingParams,
                  errors, lixi, lixi_decomposed, lixi_decomposed_many, lixi_many,
                  lixi_tau, relative_spread, side_vwap)
+import book_oracle
 from conftest import make_book
 
 
@@ -66,8 +67,8 @@ class TestLixiTau:
         with pytest.raises(errors.CrossedBook):
             make_book([(100, 10)], [(100, 10)])
 
-    def test_crossed_vwap(self):
-        # touch uncrossed, but deep bid levels drag the ask VWAP below bid VWAP
+    def test_one_bid_level_against_two_ask_levels(self):
+        # bid VWAP 100 against ask VWAP 100.15: the VWAPs do not cross
         book = make_book([(100, 1000)], [(100.1, 1), (100.2, 1)])
         assert lixi_tau(book).value > 0  # sanity: valid book computes
 
@@ -169,6 +170,63 @@ def _reference_terms(book):
     return vwap_ask - vwap_bid, book.mid_price, bid_volume + ask_volume
 
 
+def _rule_books(rng, n, depth=3):
+    """n seeded books, valid as read_books would read them, that reach every
+    check of the book rule.
+
+    Price scales of 1e-300, 1 and 1e300 times side volume scales of 1e-300,
+    1, 1e300 and 1e308 make price x volume underflow to 0 or overflow to inf,
+    and two levels of 1e308 overflow a side's volume (a nan or 0 VWAP). A
+    side of 0 levels is empty. One book in four has one level a side, its
+    ask one ulp above its bid, so rounding can cross its VWAPs."""
+    mid = rng.choice([1e-300, 1.0, 1e300], (n, 1, 1)) * rng.uniform(1, 10, (n, 1, 1))
+    step = rng.uniform(1e-4, 0.3, (n, 1, 1)) * np.arange(1, depth + 1)
+    price = mid * (1 + np.array([[-1 / (depth + 1)], [1.0]]) * step)
+    volume = (rng.choice([1e-300, 1.0, 1e300, 1e308], (n, 2, 1))
+              * rng.uniform(0.5, 1.5, (n, 2, depth)))
+    tick = rng.random(n) < 1 / 4
+    price[tick, 1, 0] = np.nextafter(price[tick, 0, 0], np.inf)
+    levels = np.where(tick[:, None], 1, rng.integers(0, depth + 1, (n, 2)))
+    padded = np.arange(depth) >= levels[:, :, None]
+    price[padded] = volume[padded] = 0.0
+    return Books(np.sort(rng.uniform(0, 1e5, n)), price, volume)
+
+
+def _outcome(result):
+    if isinstance(result, errors.LixError):
+        return type(result), str(result)
+    return result
+
+
+def _branch(result):
+    if isinstance(result, errors.CrossedBook):
+        return "CrossedBook"
+    if isinstance(result, errors.LixError):
+        return str(result).rsplit(" (t=", 1)[0]
+    return "defined"
+
+
+class TestBookOracle:
+    """The one per-book pass against book_oracle, the mask and fault table
+    it replaced."""
+
+    def test_random_books(self):
+        rng = np.random.default_rng(25)
+        books = _rule_books(rng, 10_000)
+        live = books.volume > 0
+        assert not BookLevel.rejects(books.price[live], books.volume[live]).any()
+        assert not OrderBookSnapshot.rejects(books.price, books.volume).any()
+        ctx, params = AdvContext(float(rng.lognormal(10, 2))), ScalingParams(0.6)
+        want = book_oracle.lixi_many(books, ctx, params)
+        assert list(map(_outcome, lixi_many(books, ctx, params))) == list(map(_outcome, want))
+        assert (list(map(_outcome, lixi_decomposed_many(books, ctx)))
+                == list(map(_outcome, book_oracle.lixi_decomposed_many(books, ctx))))
+        assert {"defined", "bid side is empty", "ask side is empty", "CrossedBook",
+                *(f"{side}-side VWAP must be {check}" for side in ("bid", "ask")
+                  for check in ("finite, got inf", "finite, got nan", "positive, got 0.0")),
+                } <= set(map(_branch, want))
+
+
 def _random_books(rng, n):
     books = []
     for t in range(n):
@@ -211,18 +269,24 @@ class TestBooksKernel:
         assert [books[0], books[1]] == snaps
 
     def test_undefined_books_give_their_error_in_place(self):
-        # In the fourth book price x volume underflows to 0 on both sides.
+        # In the fourth book price x volume underflows to 0 on both sides. The
+        # fifth has one level a side, its ask one ulp above its bid, and
+        # rounding in price x volume / volume crosses its VWAPs.
         snaps = [make_book([(99, 1)], [(101, 1)]), make_book([(99, 1)], []),
                  make_book([], [(101, 1)]),
                  make_book([(0.0005, 5e-324)], [(0.0015, 5e-324)], timestamp=3.0),
+                 make_book([(90.24131830353687, 30590.079974555232)],
+                           [(90.24131830353689, 25445.9584488747)], timestamp=4.0),
                  make_book([(100, 1000)], [(100.5, 1)])]
         got = lixi_many(Books.of(snaps), AdvContext(10))
-        assert [(type(v).__name__, str(v)) for v in got[1:4]] == [
+        assert [(type(v).__name__, str(v)) for v in got[1:5]] == [
             ("EmptySide", "ask side is empty (t=0.0)"),
             ("EmptySide", "bid side is empty (t=0.0)"),
-            ("InvalidParams", "bid-side VWAP must be positive, got 0.0 (t=3.0)")]
+            ("InvalidParams", "bid-side VWAP must be positive, got 0.0 (t=3.0)"),
+            ("CrossedBook", "ask-side VWAP 90.24131830353687 <= bid-side VWAP "
+                            "90.24131830353687 (t=4.0)")]
         assert got[0] == lixi(snaps[0], AdvContext(10)).value
-        assert got[4] == lixi(snaps[4], AdvContext(10)).value
+        assert got[5] == lixi(snaps[5], AdvContext(10)).value
 
     def test_level_rejects_matches_the_constructor(self):
         pool = [-1.0, 0.0, 5e-324, 1.0, math.inf, -math.inf, math.nan]

@@ -608,6 +608,10 @@ class TestStudy:
         assert report.r_squared >= 0.9
         assert 0.85 <= report.slope <= 1.15
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(errors.InvalidParams, match="^seed must be non-negative, got -1$"):
+            lixi_vs_lix_study(default_universe(3), days=2, seed=-1)
+
     def test_one_instrument_is_degenerate(self):
         with pytest.raises(errors.DegenerateRegression):
             lixi_vs_lix_study(default_universe(1), days=3, seed=0)
