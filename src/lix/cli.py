@@ -4,7 +4,9 @@ Exit codes: 0 success, 2 input/validation error, 1 internal error. Numeric
 output uses 6 decimal places by default (`--precision`, or the
 LIX_PRECISION environment variable). `--format json|csv` switches from the
 human-readable table to machine output (default json for `calibrate-alpha`
-and `study`). JSON is a list from `lix`, `lixi` and `compare`, else an object.
+and `study`). Each command's handler returns its result, and `main` writes
+it: a table ({name: column}) from the commands in `_TABLES`, else one row
+({name: value}). JSON is a list from a table and an object from a row.
 
 Each call builds its argparse parser afresh, and keeps no parser between
 calls. When argv[0] names a command, only that command's own parser is built
@@ -55,11 +57,12 @@ def _env_precision() -> int:
         raise errors.InvalidParams(f"LIX_PRECISION: {exc}") from None
 
 
-def _add_output_options(s):
+def _add_output_options(s, name):
     s.add_argument("--precision", type=_precision, default=None,
                    help="decimal places for numeric output "
                         "(default LIX_PRECISION, else 6)")
-    s.add_argument("--format", choices=["text", "json", "csv"], default=None,
+    s.add_argument("--format", choices=["text", "json", "csv"],
+                   default="json" if name in ("calibrate-alpha", "study") else "text",
                    help="output format (default text; json for "
                         "calibrate-alpha and study)")
 
@@ -155,7 +158,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p = argparse.ArgumentParser(prog=f"lix {command}")
         parsers = {command: p}
     for name, s in parsers.items():
-        _add_output_options(s)
+        _add_output_options(s, name)
         _COMMANDS[name][1](s)
     return p
 
@@ -192,16 +195,15 @@ def _text_cells(values, precision: int) -> list:
     return [_cell(v, precision) for v in values]
 
 
-def _emit(columns, args, out, fmt=None, single=False):
+def _emit(columns, args, out, fmt, single=False):
     """Write a table given as {name: column of values}, whose columns each
-    hold one type, in `fmt` (default `args.format`).
+    hold one type, in `fmt`.
 
     Text and CSV format a column at a time, floats to `args.precision`
     places, and write the table at once. JSON rounds floats to that many
     places and prints the rows as a list of objects, or the one row as an
     object when `single`.
     """
-    fmt = fmt or args.format
     p = args.precision
     if fmt == "json":
         values = [[round(v, p) for v in col] if col and isinstance(col[0], float)
@@ -216,11 +218,6 @@ def _emit(columns, args, out, fmt=None, single=False):
         out.write("\n".join(lines) + "\n")
 
 
-def _emit_one(row, args, out):
-    """Write one result, a dict: an object in JSON, else a one-row table."""
-    _emit({name: [value] for name, value in row.items()}, args, out, single=True)
-
-
 def _read_bars(path):
     """The bars of a bar file that must hold at least one data row."""
     bars = data_io.read_bars(path)
@@ -229,7 +226,7 @@ def _read_bars(path):
     return bars
 
 
-def _cmd_lix(args, out, err):
+def _cmd_lix(args, err):
     bars = _read_bars(args.bars)
     if args.date is not None:
         try:
@@ -257,22 +254,20 @@ def _cmd_lix(args, out, err):
               file=err)
     if not dates:
         raise errors.EmptyDataset("every day in the input has an undefined index")
-    _emit({"date": list(map(datetime.date.isoformat, dates)), "lix": values}, args, out)
-    return 0
+    return {"date": list(map(datetime.date.isoformat, dates)), "lix": values}
 
 
-def _cmd_lix_intraday(args, out, err):
+def _cmd_lix_intraday(args, err):
     window = IntradayWindow(elapsed=args.elapsed, session_length=args.session,
                             cum_volume=args.cum_volume, high_t=args.high,
                             low_t=args.low, last_price=args.last_price)
     raw = lix_intraday_raw(window)
     scaled = time_scale_to_daily(raw, args.elapsed, args.session,
                                  ScalingParams(args.alpha))
-    _emit_one({"lix_raw": raw.value, "lix": scaled.value}, args, out)
-    return 0
+    return {"lix_raw": raw.value, "lix": scaled.value}
 
 
-def _cmd_lixi(args, out, err):
+def _cmd_lixi(args, err):
     books = data_io.read_books(args.snapshots)
     if not len(books):
         raise errors.EmptyDataset(f"{args.snapshots}: no snapshots")
@@ -289,23 +284,20 @@ def _cmd_lixi(args, out, err):
         columns.update(spread_term=[d.spread_term for d in parts],
                        depth_term=[d.depth_term for d in parts],
                        adv_term=[d.adv_term for d in parts])
-    _emit(columns, args, out)
-    return 0
+    return columns
 
 
-def _cmd_cost(args, out, err):
+def _cmd_cost(args, err):
     plan = costmodel.ExecutionPlan(shares=args.shares, price=args.price,
                                    lix=args.lix, slice_interval=args.slice_t,
                                    session_length=args.session, alpha=args.alpha)
-    row = {"price_impact": costmodel.price_impact(plan),
-           "cost_single_shot": costmodel.cost_single_shot(plan),
-           "cost_sliced": costmodel.cost_sliced(plan),
-           "cost_per_unit": costmodel.cost_per_unit(plan)}
-    _emit_one(row, args, out)
-    return 0
+    return {"price_impact": costmodel.price_impact(plan),
+            "cost_single_shot": costmodel.cost_single_shot(plan),
+            "cost_sliced": costmodel.cost_sliced(plan),
+            "cost_per_unit": costmodel.cost_per_unit(plan)}
 
 
-def _cmd_basket(args, out, err):
+def _cmd_basket(args, err):
     positions = data_io.parse_basket_positions(args.positions)
     if not positions:
         raise errors.EmptyBasket(f"{args.positions}: no positions")
@@ -319,20 +311,18 @@ def _cmd_basket(args, out, err):
     row = {"lix": portfolio.basket_lix(spec).value}
     if args.etf_lix is not None:
         row["lix_with_etf"] = portfolio.basket_with_etf_lix(spec).value
-    _emit_one(row, args, out)
-    return 0
+    return row
 
 
-def _cmd_compare(args, out, err):
+def _cmd_compare(args, err):
     bars = _read_bars(args.bars)
     window = MultiDayWindow(bars=bars, shares_outstanding=args.shares_outstanding)
     try:
         lix = lix_daily(bars[-1]).value
     except errors.LixError as exc:
         raise type(exc)(f"{bars.dates[-1]}: {exc}") from None
-    _emit({"measure": ["lix", "hui_heubel", "amihud_illiq"],
-           "value": [lix, hui_heubel(window), amihud_illiq(window)]}, args, out)
-    return 0
+    return {"measure": ["lix", "hui_heubel", "amihud_illiq"],
+            "value": [lix, hui_heubel(window), amihud_illiq(window)]}
 
 
 def _parse_model(text: str, steps: int, vol: float, seed: int) -> simlab.PathModel:
@@ -353,20 +343,18 @@ def _parse_model(text: str, steps: int, vol: float, seed: int) -> simlab.PathMod
                             volatility_per_step=vol, seed=seed, dof=dof)
 
 
-def _cmd_calibrate_alpha(args, out, err):
+def _cmd_calibrate_alpha(args, err):
     try:
         grid = [float(f) for f in args.grid.split(",") if f.strip()]
     except ValueError:
         raise errors.InvalidParams(f"bad --grid {args.grid!r}") from None
     model = _parse_model(args.model, args.steps, args.vol, args.seed)
     est = simlab.estimate_alpha(model, args.paths, grid)
-    row = {"alpha_hat": est.alpha_hat, "stderr": est.stderr,
-           "n_paths": est.n_paths, "time_grid": list(est.time_grid)}
-    _emit_one(row, args, out)
-    return 0
+    return {"alpha_hat": est.alpha_hat, "stderr": est.stderr,
+            "n_paths": est.n_paths, "time_grid": list(est.time_grid)}
 
 
-def _cmd_study(args, out, err):
+def _cmd_study(args, err):
     # --points-csv is opened before the study runs, so a bad path fails at
     # once; a study that fails leaves the file empty.
     try:
@@ -385,14 +373,13 @@ def _cmd_study(args, out, err):
                        "mean_lix": [pt.mean_lix for pt in points],
                        "mean_lixi": [pt.mean_lixi for pt in points]}
             _emit(columns, args, f, "csv")
-    row = {"slope": report.slope, "intercept": report.intercept,
-           "r_squared": report.r_squared, "n_points": report.n_points,
-           "n_dropped": report.n_dropped}
-    _emit_one(row, args, out)
-    return 0
+    return {"slope": report.slope, "intercept": report.intercept,
+            "r_squared": report.r_squared, "n_points": report.n_points,
+            "n_dropped": report.n_dropped}
 
 
 # name -> (help, argument adder, handler), in the order `lix -h` lists them.
+# handler(args, err) returns the result that `main` writes.
 _COMMANDS = {
     "lix": ("daily liquidity index from a bar file",
             _lix_arguments, _cmd_lix),
@@ -411,6 +398,8 @@ _COMMANDS = {
     "study": ("snapshot-vs-daily liquidity regression on synthetic data",
               _study_arguments, _cmd_study),
 }
+# The commands whose result is a table; every other command's is one row.
+_TABLES = ("lix", "lixi", "compare")
 
 
 def main(argv=None, out=None, err=None) -> int:
@@ -422,12 +411,15 @@ def main(argv=None, out=None, err=None) -> int:
             args = _parse_args(argv)
     except SystemExit as exc:  # argparse already printed usage/help
         return int(exc.code or 0)
-    if args.format is None:
-        args.format = "json" if args.command in ("calibrate-alpha", "study") else "text"
     try:
         if args.precision is None:
             args.precision = _env_precision()
-        return _COMMANDS[args.command][2](args, out, err)
+        result = _COMMANDS[args.command][2](args, err)
+        single = args.command not in _TABLES
+        if single:
+            result = {name: [value] for name, value in result.items()}
+        _emit(result, args, out, args.format, single)
+        return 0
     except (errors.LixError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 2

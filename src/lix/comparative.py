@@ -5,7 +5,9 @@ float; Amihud's ILLIQ averages |daily return| per dollar traded. Both use
 the dollar-volume proxy close * volume per day, and both read the window's
 bars as columns. A window whose products or ratios overflow has no finite
 value and raises InvalidParams, as a non-finite LIX does, naming the window
-by its first and last date.
+by its first and last date. Quotients are taken as IEEE floats take them: a
+Hui-Heubel turnover whose denominator, shares outstanding times mean close,
+underflows to 0 is inf, as when the quotient overflows, and the ratio is 0.0.
 """
 
 from __future__ import annotations
@@ -76,7 +78,8 @@ def hui_heubel(w: MultiDayWindow) -> float:
     if dollar_volume <= 0:
         raise errors.ZeroDollarVolume(f"{span}: zero dollar volume over the five-day window")
     mean_close = sum(recent.close.tolist()) / len(recent)
-    turnover = dollar_volume / (w.shares_outstanding * mean_close)
+    market_value = w.shares_outstanding * mean_close
+    turnover = dollar_volume / market_value if market_value else math.inf
     # A turnover that underflowed to 0 leaves the ratio without a finite value.
     return _finite_index((p_high - p_low) / p_low / turnover if turnover else math.inf,
                          f"{span}: hui_heubel")

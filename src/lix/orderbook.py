@@ -193,9 +193,9 @@ def side_vwap(levels) -> float:
     return vwap
 
 
-def _fault(vwap_bid, vwap_ask, bid_volume, ask_volume) -> errors.LixError:
-    """The first check failed by a book whose side VWAPs and volumes leave
-    its LIXI undefined."""
+def _fault(vwap_bid, vwap_ask, bid_volume, ask_volume, mid) -> errors.LixError:
+    """The first check failed by a book whose side VWAPs and volumes, or
+    touch midprice, leave its LIXI undefined."""
     if not bid_volume:
         return errors.EmptySide("bid side is empty")
     if not ask_volume:
@@ -208,7 +208,9 @@ def _fault(vwap_bid, vwap_ask, bid_volume, ask_volume) -> errors.LixError:
         return errors.InvalidParams(f"bid-side VWAP must be positive, got {vwap_bid}")
     if not vwap_ask > 0:
         return errors.InvalidParams(f"ask-side VWAP must be positive, got {vwap_ask}")
-    return errors.CrossedBook(f"ask-side VWAP {vwap_ask} <= bid-side VWAP {vwap_bid}")
+    if not vwap_bid < vwap_ask:
+        return errors.CrossedBook(f"ask-side VWAP {vwap_ask} <= bid-side VWAP {vwap_bid}")
+    return errors.NonPositivePrice(f"touch midprice must be positive, got {mid}")
 
 
 def _per_book(books: Books, value) -> list:
@@ -221,12 +223,15 @@ def _per_book(books: Books, value) -> list:
     for t, vwap_bid, vwap_ask, bid_volume, ask_volume, bid, ask in zip(
             books.timestamps.tolist(), *vwap.T.tolist(), *side_volume.T.tolist(),
             *books.price[:, :, 0].T.tolist()):
+        mid = (ask + bid) / 2
         try:
-            # Both sides have volume, both VWAPs are finite and positive, and
-            # the ask VWAP is above the bid's; else name the first failure.
-            if not (bid_volume and ask_volume and 0 < vwap_bid < vwap_ask < math.inf):
-                raise _fault(vwap_bid, vwap_ask, bid_volume, ask_volume)
-            out.append(value(vwap_ask - vwap_bid, (ask + bid) / 2, bid_volume + ask_volume))
+            # Both sides have volume, both VWAPs are finite and positive, the
+            # ask VWAP is above the bid's and the touch midprice is positive;
+            # else name the first failure.
+            if not (bid_volume and ask_volume and 0 < vwap_bid < vwap_ask < math.inf
+                    and mid > 0):
+                raise _fault(vwap_bid, vwap_ask, bid_volume, ask_volume, mid)
+            out.append(value(vwap_ask - vwap_bid, mid, bid_volume + ask_volume))
         except errors.LixError as exc:
             out.append(type(exc)(f"{exc} (t={t})"))
     return out

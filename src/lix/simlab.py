@@ -338,8 +338,9 @@ def _ladders(mid, daily_volume, day_range, jitter, levels: int):
         spread = (max(r, _MIN_SPREAD_FRACTION * m) * math.sqrt(depth / v)
                   * math.exp(_SPREAD_JITTER * z_spread))
         # The deepest bid sits spread * levels / (levels + 1) below mid, so
-        # this cap keeps it at or above 0.1 * mid at any depth.
-        spread = min(spread, 0.9 * m * (levels + 1) / levels)
+        # this cap keeps it at or above 0.1 * mid at any depth. A mid past
+        # the float range gets no spread: its levels are inf, not inf - inf.
+        spread = min(spread, 0.9 * m * (levels + 1) / levels) if math.isfinite(m) else 0.0
         # the level formula's (spread / 2) * 2: not spread when spread is subnormal
         terms.append((m, spread / 2 * 2, depth / (2 * levels)))
     mid, width, level_volume = np.array(terms).reshape(-1, 3).T
@@ -424,6 +425,7 @@ def exact_scaling_session(bar: DailyBar, alpha: float, fractions):
     the close so the f = 1 window reproduces the bar; last price is the
     close throughout. Useful as an oracle for the time-scaling rule.
     """
+    ScalingParams(alpha)  # refuses an alpha outside (0, 1]
     if bar.high <= bar.low:
         raise errors.ZeroRange("full-day bar has no range")
     full_range = bar.high - bar.low

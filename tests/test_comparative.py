@@ -88,6 +88,15 @@ class TestHuiHeubel:
         with pytest.raises(errors.InvalidParams, match=f"hui_heubel must be finite, got {got}"):
             hui_heubel(w)
 
+    @pytest.mark.parametrize("scale,volume,shares", [
+        (1.0, 1e300, 1e-300),   # the turnover overflows to inf
+        (1.5e-12, 10, 1e-320),  # shares x mean close underflows to 0
+    ])
+    def test_infinite_turnover_gives_zero(self, scale, volume, shares):
+        w = MultiDayWindow(five_identical_bars(scale=scale, volume=volume),
+                           shares_outstanding=shares)
+        assert hui_heubel(w) == 0.0
+
     @given(k=st.floats(min_value=1e-3, max_value=1e3))
     def test_currency_invariance(self, k):
         base = hui_heubel(MultiDayWindow(five_identical_bars(),

@@ -288,6 +288,16 @@ class TestBooksKernel:
         assert got[0] == lixi(snaps[0], AdvContext(10)).value
         assert got[5] == lixi(snaps[5], AdvContext(10)).value
 
+    def test_non_positive_touch_midprice_names_its_book(self):
+        # Hand-built arrays, as neither read_books nor Books.of builds them:
+        # positive VWAPs on touch prices -5 and 1, then -5 and 5.
+        price = np.array([[[-5.0, 200.0], [1.0, 300.0]], [[-5.0, 200.0], [5.0, 300.0]]])
+        books = Books(np.array([1.0, 2.0]), price, np.ones_like(price))
+        for f in (lixi_many, lixi_decomposed_many):
+            assert [(type(v), str(v)) for v in f(books, AdvContext(10))] == [
+                (errors.NonPositivePrice, "touch midprice must be positive, got -2.0 (t=1.0)"),
+                (errors.NonPositivePrice, "touch midprice must be positive, got 0.0 (t=2.0)")]
+
     def test_level_rejects_matches_the_constructor(self):
         pool = [-1.0, 0.0, 5e-324, 1.0, math.inf, -math.inf, math.nan]
         pairs = np.array([(p, v) for p in pool for v in pool]).T

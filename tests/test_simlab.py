@@ -555,6 +555,17 @@ class TestSynthSession:
                 assert len(snap.bids) == len(snap.asks) == levels
                 assert min(lvl.price for lvl in snap.bids) > 0
 
+    def test_prices_past_the_float_range_raise_without_numpy_warnings(self):
+        # Some mids of this walk price to inf: their books are laid out, and
+        # the bar's check refuses the day.
+        model = PathModel(kind=WalkKind.GAUSSIAN_RETURNS, steps_per_day=20,
+                          volatility_per_step=1000.0, seed=1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(errors.InvariantViolation, match="high must be finite, got inf"):
+                synth_session(model, 1e6, BookParams())
+        assert caught == []
+
 
 class TestExactScalingSession:
     def test_golden(self):
@@ -588,6 +599,11 @@ class TestExactScalingSession:
         with pytest.raises(errors.DegenerateGrid,
                            match=rf"^fraction {fraction} outside \(0, 1\]$"):
             exact_scaling_session(reference_bar, 0.5, [0.5, fraction])
+
+    def test_alpha_outside_scaling_params_range(self, reference_bar):
+        # 1e-320 ** -1.0 overflows a float.
+        with pytest.raises(errors.InvalidParams, match=r"^alpha must be in \(0, 1\], got -1.0$"):
+            exact_scaling_session(reference_bar, -1.0, [1e-320])
 
 
 class TestStudy:

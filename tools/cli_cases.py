@@ -58,6 +58,16 @@ HIGH,0.3,400
 LOW,0.4,-400
 """
 
+# Five days whose closes are so small that 1e-320 shares times their mean
+# close underflows to 0.
+TINY_CLOSE_BARS = """date,open,high,low,close,volume
+2020-01-02,1e-10,2e-10,1e-10,1.5e-10,10
+2020-01-03,1e-10,2e-10,1e-10,1.5e-10,10
+2020-01-06,1e-10,2e-10,1e-10,1.5e-10,10
+2020-01-07,1e-10,2e-10,1e-10,1.5e-10,10
+2020-01-08,1e-10,2e-10,1e-10,1.5e-10,10
+"""
+
 BAR_HEADER = "date,open,high,low,close,volume"
 BOOK_HEADER = "timestamp,side,level,price,volume"
 POSITION_HEADER = "instrument,beta,lix"
@@ -70,7 +80,8 @@ SMALL_FILES = {"small_bars.csv": BARS, "small_book.csv": BOOK,
                "positions_header.csv": f"{POSITION_HEADER}\n", "empty.csv": "",
                "latin1.csv": f"{BAR_HEADER}\ncaf\xe9,1,2,1,1,1\n",
                "bad_header.csv": "dote,open,high,low,close,volume\n",
-               "flat_bars.csv": f"{BAR_HEADER}\n2020-01-02,5,5,5,5,100\n2020-01-03,6,6,6,6,200\n"}
+               "flat_bars.csv": f"{BAR_HEADER}\n2020-01-02,5,5,5,5,100\n2020-01-03,6,6,6,6,200\n",
+               "tiny_close_bars.csv": TINY_CLOSE_BARS}
 
 COST = ["--shares", "50000", "--price", "25.5", "--lix", "7.25", "--slice-t", "600",
         "--session", "23400"]
@@ -327,7 +338,10 @@ def _table() -> list:
         ("lix_empty_date-text-unset", ["lix", "{dir}/small_bars.csv", "--date", ""], None),
         ("lix_all_flat-text-unset", ["lix", "{dir}/flat_bars.csv"], None),
         ("study_empty_points_csv-text-unset", ["study", "--instruments", "2", "--days", "1",
-                                               "--snapshots", "2", "--points-csv", ""], None)]
+                                               "--snapshots", "2", "--points-csv", ""], None),
+        # An inf Hui-Heubel turnover, from a denominator that underflows to 0.
+        ("compare_tiny_close-text-unset", ["compare", "{dir}/tiny_close_bars.csv",
+                                           "--shares-outstanding", "1e-320"], None)]
 
 
 CASES = _table()
