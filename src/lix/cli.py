@@ -12,7 +12,9 @@ Each call builds its argparse parser afresh, and keeps no parser between
 calls. When argv[0] names a command, only that command's own parser is built
 and parses the rest of argv (see `build_parser`). An argv that names no
 command, or that leaves an argument unrecognized, goes to the parser with
-every command, so help and usage errors read as they always have.
+every command, so help and usage errors read as they always have. The
+terminal width (`COLUMNS`) is read once per parser built, not once per
+argument added, and wraps help and usage as argparse's own default does.
 """
 
 from __future__ import annotations
@@ -20,8 +22,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import datetime
+import functools
 import json
 import os
+import shutil
 import sys
 
 from . import costmodel, data_io, errors, portfolio, simlab
@@ -148,14 +152,22 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     the rest of argv to that subparser and to no other; building one
     parser instead of the `lix` parser, its subparsers and a subparser is
     most of the cost of a short call.
+
+    The terminal width is read once here, as argparse's HelpFormatter reads
+    it when given none (columns - 2), and every parser built gets it:
+    argparse makes a formatter per argument added, and subparsers do not
+    inherit formatter_class.
     """
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
     if command is None:
-        p = argparse.ArgumentParser(prog="lix", description="Liquidity index toolkit")
+        p = argparse.ArgumentParser(prog="lix", description="Liquidity index toolkit",
+                                    formatter_class=formatter)
         sub = p.add_subparsers(dest="command", required=True)
-        parsers = {name: sub.add_parser(name, help=help_text)
+        parsers = {name: sub.add_parser(name, help=help_text, formatter_class=formatter)
                    for name, (help_text, _, _) in _COMMANDS.items()}
     else:
-        p = argparse.ArgumentParser(prog=f"lix {command}")
+        p = argparse.ArgumentParser(prog=f"lix {command}", formatter_class=formatter)
         parsers = {command: p}
     for name, s in parsers.items():
         _add_output_options(s, name)

@@ -369,9 +369,10 @@ def _session(model: PathModel, book: BookParams, volume: float, day_seed: int):
     walk = _walk_buffer(model, 1, steps + 1)[0]
     walk[0] = 0.0
     jitter = _day_draws(model, day_seed, walk[1:], n)
-    _offsets(model, walk[None, 1:])
-    hi = np.maximum.accumulate(walk)
-    lo = np.minimum.accumulate(walk)
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller's checks refuse it
+        _offsets(model, walk[None, 1:])
+        hi = np.maximum.accumulate(walk)
+        lo = np.minimum.accumulate(walk)
     high, low = _price(model, start, hi.item(-1)), _price(model, start, lo.item(-1))
     at = [max(1, round(k * steps / n)) for k in range(1, n + 1)]
     return (walk, hi, lo, high, low, [step / steps * _SESSION_LENGTH for step in at],

@@ -1,8 +1,10 @@
+import argparse
 import contextlib
 import csv
 import io
 import json
 import re
+import shutil
 import sys
 import warnings
 
@@ -796,3 +798,48 @@ def test_argv_may_be_any_iterable_or_default_to_sys_argv(tmp_path, monkeypatch):
     assert run(iter(["lix", path])) == want
     monkeypatch.setattr(sys, "argv", ["lix", "lix", path])
     assert run(None) == want
+
+
+def _parsers(parser):
+    """parser and, for the full parser, each command's subparser."""
+    subparsers = [a.choices.values() for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    return [parser, *(s for choices in subparsers for s in choices)]
+
+
+@pytest.mark.parametrize("columns", [None, "1", "40", "80", "200"])
+@pytest.mark.parametrize("command", [None, *cli._COMMANDS])
+def test_help_and_usage_wrap_as_argparse_default_formatter_does(monkeypatch, command,
+                                                                columns):
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    parsers = _parsers(build_parser(command))
+    assert len(parsers) == (1 + len(cli._COMMANDS) if command is None else 1)
+    for parser in parsers:
+        given = parser.format_help(), parser.format_usage()
+        parser.formatter_class = argparse.HelpFormatter
+        assert given == (parser.format_help(), parser.format_usage()), parser.prog
+
+
+@pytest.mark.parametrize("command", [None, *cli._COMMANDS])
+def test_a_parser_reads_the_terminal_width_once(monkeypatch, command):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return get_terminal_size(*args, **kwargs)
+    get_terminal_size = shutil.get_terminal_size
+    monkeypatch.setattr(shutil, "get_terminal_size", counted)
+    build_parser(command)
+    assert len(calls) == 1
+
+
+def test_each_call_wraps_help_to_the_current_columns(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")
+    wide = run(["cost", "-h"])
+    monkeypatch.setenv("COLUMNS", "40")
+    narrow = run(["cost", "-h"])
+    assert wide[0] == narrow[0] == 0
+    assert len(narrow[1].splitlines()) > len(wide[1].splitlines())

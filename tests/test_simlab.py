@@ -566,6 +566,21 @@ class TestSynthSession:
                 synth_session(model, 1e6, BookParams())
         assert caught == []
 
+    def test_overflowing_walks_raise_typed_errors_without_numpy_warnings(self):
+        # Draws of volatility 1e308 overflow in the walk's scaling and sum.
+        raised = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kind, seed in itertools.product(WalkKind, range(10)):
+                model = PathModel(kind=kind, steps_per_day=20, volatility_per_step=1e308,
+                                  seed=seed,
+                                  dof=3.0 if kind is WalkKind.STUDENT_T_RETURNS else None)
+                with pytest.raises(errors.LixError) as exc:
+                    synth_session(model, 1e6, BookParams())
+                raised.append(exc.type)
+        assert {cls: raised.count(cls) for cls in raised} == {
+            errors.InvariantViolation: 20, errors.InvalidParams: 10}
+
 
 class TestExactScalingSession:
     def test_golden(self):

@@ -51,16 +51,17 @@ def parse_seeds(text: str) -> list[int]:
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run; its result line (`correct`, `failed`, `metrics`)."""
+    """One benchmark run: its result line (`correct`, `failed`, `metrics`)
+    and, under `provenance`, the line before it."""
     proc = subprocess.run(
         [sys.executable, "lixbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
+    if proc.returncode != 0 or len(lines) < 2:
         raise SystemExit(f"ab: {checkout} seed {seed} exited {proc.returncode}:\n"
                          f"{proc.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    return {**json.loads(lines[-1]), **json.loads(lines[-2])}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
