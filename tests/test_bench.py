@@ -34,21 +34,25 @@ def _fake_runs(monkeypatch, provenance=lambda seed: PROVENANCE):
 def test_record_holds_each_workload_metric_and_the_runs_identity(monkeypatch, tmp_path):
     calls = _fake_runs(monkeypatch)
     out = tmp_path / "BENCH_9.json"
-    assert bench.main([str(out), "--seeds", "1-4", "--seconds", "0.5"]) == 0
+    assert bench.main([str(out)]) == 0
     names = [w["name"] for w in SPEC["workloads"]]
-    assert calls == [(bench.ROOT, name, seed, 0.5) for name in names for seed in (1, 2, 3, 4)]
+    seeds = [1001, 1002, 1003, 1004, 1005]
+    assert calls == [(bench.ROOT, name, seed, SPEC["run_seconds"])
+                     for name in names for seed in seeds]
 
     result = json.loads(out.read_text(encoding="utf-8"))
     assert {k: result[k] for k in bench.IDENTITY} == {k: PROVENANCE[k] for k in bench.IDENTITY}
-    assert (result["seeds"], result["seconds"], result["tier1"]) == ([1, 2, 3, 4], 0.5, TIER1)
+    assert (result["seeds"], result["seconds"], result["tier1"]) == (
+        seeds, SPEC["run_seconds"], TIER1)
     assert list(result["workloads"]) == names
     for workload in result["workloads"].values():
-        assert (workload["failed"], workload["attempted"]) == (2, 40)
+        # seeds 1001 and 1003 and 1005 each fail one operation of ten
+        assert (workload["failed"], workload["attempted"]) == (3, 50)
         assert list(workload["metrics"]) == [m["name"] for m in SPEC["end_to_end"]]
         for m in SPEC["end_to_end"]:
-            # values 1, 2, 3, 4: median 2.5, quartiles [1.75, 3.25]
+            # values 1001..1005: median 1003, quartiles [1002, 1004]
             assert workload["metrics"][m["name"]] == {
-                "unit": m["unit"], "median": 2.5, "q1": 1.75, "q3": 3.25}
+                "unit": m["unit"], "median": 1003, "q1": 1002, "q3": 1004}
 
 
 def test_runs_of_different_programs_are_refused(monkeypatch, tmp_path):
@@ -57,4 +61,15 @@ def test_runs_of_different_programs_are_refused(monkeypatch, tmp_path):
     with pytest.raises(SystemExit, match="different programs"):
         bench.main([str(out)])
     assert not out.exists()
-    assert [seed for _, _, seed, _ in calls[:5]] == [1001, 1002, 1003, 1004, 1005]
+    assert len(calls) == len(SPEC["workloads"]) * 5
+
+
+def test_a_failing_tier1_run_is_refused_before_any_workload_runs(monkeypatch, tmp_path):
+    calls = _fake_runs(monkeypatch)
+    failing = {"seconds": 3.0, "exit_code": 1, "summary": "1 failed, 8 passed in 3.00s"}
+    monkeypatch.setattr(bench, "time_tier1", lambda: failing)
+    out = tmp_path / "BENCH_9.json"
+    with pytest.raises(SystemExit, match="tier-1 tests failed .exit 1.: 1 failed"):
+        bench.main([str(out)])
+    assert not out.exists()
+    assert calls == []

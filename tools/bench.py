@@ -2,16 +2,17 @@
 
 Usage, from the root of a source checkout:
 
-    python3 tools/bench.py BENCH_1.json --seeds 1001-1005 --seconds 30
+    python3 tools/bench.py BENCH_1.json
 
-Each workload of BENCHMARK.json runs once per seed (`lixbench/run.py
---trace 0`, through tools/ab.py's `run_bench`), so two records made with
-the same seeds measure the same inputs. For each end-to-end metric the
-record holds its unit and the median and quartiles over those runs, and for
-each workload its failed and attempted operations. The tier-1 tests run
-once, timed. The record also holds the seeds and run length, and the
-commit, the digest of `src/lix` (`src_sha256`), Python, numpy and nproc as
-the runs report them. Per-layer and per-stage timings are not recorded.
+The tier-1 tests run once, timed; a run that fails is refused and no record
+is written. Then each workload of BENCHMARK.json runs once per seed of the
+fixed SEEDS, for BENCHMARK.json's `run_seconds` (`lixbench/run.py --trace
+0`, through tools/ab.py's `run_bench`), so every record measures the same
+inputs. For each end-to-end metric the record holds its unit and the median
+and quartiles over those runs, and for each workload its failed and
+attempted operations. The record also holds the seeds and run length, and
+the commit, the digest of `src/lix` (`src_sha256`), Python, numpy and nproc
+as the runs report them. Per-layer and per-stage timings are not recorded.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ _spec.loader.exec_module(ab)
 
 # The provenance fields that name what was measured, the same in every run.
 IDENTITY = ("commit", "src_sha256", "python", "numpy", "nproc")
+# One run of each workload per seed, the same in every record.
+SEEDS = list(range(1001, 1006))
 
 
 def time_tier1() -> dict:
@@ -49,12 +52,17 @@ def time_tier1() -> dict:
             "summary": lines[-1] if lines else ""}
 
 
-def record(spec: dict, seeds: list[int], seconds: float) -> dict:
-    """Run every workload of `spec` (BENCHMARK.json) at each seed, then the
-    tier-1 tests, and return the record."""
+def record(spec: dict) -> dict:
+    """Run the tier-1 tests, then every workload of `spec` (BENCHMARK.json)
+    at each of SEEDS, and return the record."""
+    tier1 = time_tier1()
+    if tier1["exit_code"] != 0:
+        raise SystemExit(f"bench: tier-1 tests failed (exit {tier1['exit_code']}): "
+                         f"{tier1['summary']}")
+    seconds = spec["run_seconds"]
     workloads, identities = {}, set()
     for w in spec["workloads"]:
-        runs = [ab.run_bench(ROOT, w["name"], seed, seconds) for seed in seeds]
+        runs = [ab.run_bench(ROOT, w["name"], seed, seconds) for seed in SEEDS]
         identities |= {tuple(r["provenance"][k] for k in IDENTITY) for r in runs}
         metrics = {}
         for m in spec["end_to_end"]:
@@ -66,19 +74,16 @@ def record(spec: dict, seeds: list[int], seconds: float) -> dict:
                                 "metrics": metrics}
     if len(identities) != 1:
         raise SystemExit(f"bench: runs measured different programs: {sorted(identities)}")
-    return {**dict(zip(IDENTITY, identities.pop())), "seeds": seeds, "seconds": seconds,
-            "workloads": workloads, "tier1": time_tier1()}
+    return {**dict(zip(IDENTITY, identities.pop())), "seeds": SEEDS, "seconds": seconds,
+            "workloads": workloads, "tier1": tier1}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", type=Path, help="the JSON file to write")
-    parser.add_argument("--seeds", type=ab.parse_seeds, default="1001-1005",
-                        help="one run of each workload per seed (default 1001-1005)")
-    parser.add_argument("--seconds", type=float, default=30)
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    result = record(spec, args.seeds, args.seconds)
+    result = record(spec)
     args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
     return 0
 
