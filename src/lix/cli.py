@@ -8,13 +8,15 @@ and `study`). Each command's handler returns its result, and `main` writes
 it: a table ({name: column}) from the commands in `_TABLES`, else one row
 ({name: value}). JSON is a list from a table and an object from a row.
 
-Each call builds its argparse parser afresh, and keeps no parser between
-calls. When argv[0] names a command, only that command's own parser is built
-and parses the rest of argv (see `build_parser`). An argv that names no
-command, or that leaves an argument unrecognized, goes to the parser with
-every command, so help and usage errors read as they always have. The
-terminal width (`COLUMNS`) is read once per parser built, not once per
-argument added, and wraps help and usage as argparse's own default does.
+Each call builds its argparse parser afresh; no parser or width is kept
+between calls. What is kept is each command's argument declarations, made on
+the command's first use and shared by every parser built for it after (see
+`_declarations`). When argv[0] names a command, only that command's own
+parser is built and parses the rest of argv (see `build_parser`). An argv
+that names no command, or that leaves an argument unrecognized, goes to the
+parser with every command, so help and usage errors read as they always
+have. The terminal width (`COLUMNS`) is read once per parser built, and wraps
+help and usage as argparse's own default does.
 """
 
 from __future__ import annotations
@@ -143,6 +145,26 @@ def _study_arguments(s):
                    help="write per-instrument points to this CSV file")
 
 
+@functools.cache
+def _declarations(name: str) -> argparse.ArgumentParser:
+    """`name`'s arguments, declared once per process on an argument-only
+    parser that every parser built for `name` takes as a parent.
+
+    argparse adds a parent's Action objects to the child as they are, so
+    no Action or metavar check is made again. Adding one points its
+    `container` at the child's group, which only conflict_handler="resolve"
+    reads; parsing and help change nothing of it. This parser never
+    prints, so its formatter has a fixed width: argparse's default
+    formatter would read the terminal once per argument declared.
+    """
+    d = argparse.ArgumentParser(prog=f"lix {name}", add_help=False,
+                                formatter_class=functools.partial(argparse.HelpFormatter,
+                                                                  width=80))
+    _add_output_options(d, name)
+    _COMMANDS[name][1](d)
+    return d
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The `lix` parser with every command, or `command`'s own parser.
 
@@ -153,25 +175,23 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     parser instead of the `lix` parser, its subparsers and a subparser is
     most of the cost of a short call.
 
-    The terminal width is read once here, as argparse's HelpFormatter reads
-    it when given none (columns - 2), and every parser built gets it:
-    argparse makes a formatter per argument added, and subparsers do not
-    inherit formatter_class.
+    Each parser is new, with its own `-h`, prog and width, but takes its
+    command's arguments from `_declarations`, made once per process. The
+    terminal width is read once here, as argparse's HelpFormatter reads it
+    when given none (columns - 2), and every parser built gets it:
+    subparsers do not inherit formatter_class.
     """
     formatter = functools.partial(argparse.HelpFormatter,
                                   width=shutil.get_terminal_size().columns - 2)
-    if command is None:
-        p = argparse.ArgumentParser(prog="lix", description="Liquidity index toolkit",
-                                    formatter_class=formatter)
-        sub = p.add_subparsers(dest="command", required=True)
-        parsers = {name: sub.add_parser(name, help=help_text, formatter_class=formatter)
-                   for name, (help_text, _, _) in _COMMANDS.items()}
-    else:
-        p = argparse.ArgumentParser(prog=f"lix {command}", formatter_class=formatter)
-        parsers = {command: p}
-    for name, s in parsers.items():
-        _add_output_options(s, name)
-        _COMMANDS[name][1](s)
+    if command is not None:
+        return argparse.ArgumentParser(prog=f"lix {command}", formatter_class=formatter,
+                                       parents=[_declarations(command)])
+    p = argparse.ArgumentParser(prog="lix", description="Liquidity index toolkit",
+                                formatter_class=formatter)
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        sub.add_parser(name, help=help_text, formatter_class=formatter,
+                       parents=[_declarations(name)])
     return p
 
 

@@ -1,5 +1,7 @@
 import argparse
+import collections
 import contextlib
+import copy
 import csv
 import io
 import json
@@ -701,15 +703,20 @@ WEEK = "date,open,high,low,close,volume\n" + "".join(
     f"2013-11-{day},50,51,49.5,50,{4000 + day}\n" for day in range(18, 23))
 
 
+def _flag_files(tmp_path):
+    """FLAG_BASES' file placeholders -> paths of files that hold valid data."""
+    return {"BARS": write(tmp_path, "bars.csv", BARS),
+            "BOOK": write(tmp_path, "book.csv", BOOK),
+            "ADV": write(tmp_path, "adv.csv", ADV_BARS),
+            "POSITIONS": write(tmp_path, "positions.csv", APPENDIX_B2),
+            "WEEK": write(tmp_path, "week.csv", WEEK)}
+
+
 @pytest.mark.parametrize("command,flag", [
     (command, flag) for command, (_, flags) in FLAG_BASES.items()
     for flag in [*flags, "--precision"]])
 def test_numeric_flag_fuzz_exits_0_with_finite_output_or_2(tmp_path, command, flag):
-    files = {"BARS": write(tmp_path, "bars.csv", BARS),
-             "BOOK": write(tmp_path, "book.csv", BOOK),
-             "ADV": write(tmp_path, "adv.csv", ADV_BARS),
-             "POSITIONS": write(tmp_path, "positions.csv", APPENDIX_B2),
-             "WEEK": write(tmp_path, "week.csv", WEEK)}
+    files = _flag_files(tmp_path)
     head, flags = FLAG_BASES[command]
     flags = {**flags, "--precision": "6"}
     for value in (None,) + FLAG_VALUES:  # None: every flag at its valid value
@@ -752,20 +759,34 @@ def _parse(parse, argv):
     return code, out.getvalue(), err.getvalue(), args
 
 
-@pytest.mark.parametrize("columns", [None, "40", "200"])
-@pytest.mark.parametrize("command", FLAG_BASES)
-def test_one_command_parser_parses_as_the_full_one(monkeypatch, command, columns):
+def _given(command):
+    """`command`'s FLAG_BASES arguments after its name, each flag valued."""
+    head, flags = FLAG_BASES[command]
+    return head[1:] + [a for pair in flags.items() for a in pair]
+
+
+def _shapes(command):
+    """Argument lists after `command` that end a parse in help, in a usage
+    error of the command's parser or of the full one, or in arguments."""
+    given = _given(command)
+    return [["-h"], given + ["--bogus"], given + ["extra"], [],
+            given + ["--precision", "x"], given + ["--format", "xml"],
+            given + ["--prec", "2"], ["--"] + given, ["--precision", "2"] + given,
+            given + ["--bogus", "1"], given + ["-h"]]
+
+
+def _set_columns(monkeypatch, columns):
     if columns is None:
         monkeypatch.delenv("COLUMNS", raising=False)
     else:
         monkeypatch.setenv("COLUMNS", columns)
-    head, flags = FLAG_BASES[command]
-    given = head[1:] + [a for pair in flags.items() for a in pair]
-    shapes = [["-h"], given + ["--bogus"], given + ["extra"], [],
-              given + ["--precision", "x"], given + ["--format", "xml"],
-              given + ["--prec", "2"], ["--"] + given, ["--precision", "2"] + given,
-              given + ["--bogus", "1"], given + ["-h"]]
-    for shape in shapes:
+
+
+@pytest.mark.parametrize("columns", [None, "40", "200"])
+@pytest.mark.parametrize("command", FLAG_BASES)
+def test_one_command_parser_parses_as_the_full_one(monkeypatch, command, columns):
+    _set_columns(monkeypatch, columns)
+    for shape in _shapes(command):
         argv = [command] + shape
         assert _parse(_parse_args, argv) == _parse(build_parser().parse_args, argv), argv
 
@@ -811,10 +832,7 @@ def _parsers(parser):
 @pytest.mark.parametrize("command", [None, *cli._COMMANDS])
 def test_help_and_usage_wrap_as_argparse_default_formatter_does(monkeypatch, command,
                                                                 columns):
-    if columns is None:
-        monkeypatch.delenv("COLUMNS", raising=False)
-    else:
-        monkeypatch.setenv("COLUMNS", columns)
+    _set_columns(monkeypatch, columns)
     parsers = _parsers(build_parser(command))
     assert len(parsers) == (1 + len(cli._COMMANDS) if command is None else 1)
     for parser in parsers:
@@ -823,8 +841,17 @@ def test_help_and_usage_wrap_as_argparse_default_formatter_does(monkeypatch, com
         assert given == (parser.format_help(), parser.format_usage()), parser.prog
 
 
+@pytest.fixture
+def cold_declarations():
+    """No command's arguments declared when the test starts, and none of
+    the test's declarations kept after it."""
+    cli._declarations.cache_clear()
+    yield
+    cli._declarations.cache_clear()
+
+
 @pytest.mark.parametrize("command", [None, *cli._COMMANDS])
-def test_a_parser_reads_the_terminal_width_once(monkeypatch, command):
+def test_a_parser_reads_the_terminal_width_once(monkeypatch, cold_declarations, command):
     calls = []
 
     def counted(*args, **kwargs):
@@ -843,3 +870,81 @@ def test_each_call_wraps_help_to_the_current_columns(monkeypatch):
     narrow = run(["cost", "-h"])
     assert wide[0] == narrow[0] == 0
     assert len(narrow[1].splitlines()) > len(wide[1].splitlines())
+
+
+def test_each_command_declares_its_arguments_once_per_process(monkeypatch,
+                                                              cold_declarations):
+    calls = collections.Counter()
+
+    def counted(add, command=None):  # command None: the adder is given it
+        def wrapper(parser, *name):
+            calls[add.__name__, command or name[0]] += 1
+            add(parser, *name)
+        return wrapper
+    want = collections.Counter()
+    monkeypatch.setattr(cli, "_add_output_options", counted(cli._add_output_options))
+    for name, (help_text, add, handler) in list(cli._COMMANDS.items()):
+        monkeypatch.setitem(cli._COMMANDS, name, (help_text, counted(add, name), handler))
+        want.update([("_add_output_options", name), (add.__name__, name)])
+    for name in cli._COMMANDS:
+        for shape in (["-h"], ["--bogus"], ["--format", "xml"]):
+            assert run([name, *shape])[0] in (0, 2)
+    build_parser()
+    assert calls == want
+
+
+def test_parsing_and_help_leave_the_shared_actions_as_declared(tmp_path):
+    # argparse points an Action's `container` at the group that last added
+    # it, so every parser built moves it; the rest must stay as declared.
+    build_parser()
+    actions = [a for name in cli._COMMANDS for a in cli._declarations(name)._actions]
+
+    def snapshot():
+        return [{key: copy.deepcopy(value) for key, value in vars(a).items()
+                 if key != "container"} for a in actions]
+    declared = snapshot()
+    files = _flag_files(tmp_path)
+    for command in FLAG_BASES:
+        for shape in [_given(command), *_shapes(command)]:
+            run([command, *(files.get(a, a) for a in shape)])
+    assert [a for name in cli._COMMANDS for a in cli._declarations(name)._actions] == actions
+    assert snapshot() == declared
+
+
+def _reference_parser(command=None):
+    """The parser with every command, or `command`'s own, with each
+    command's arguments declared afresh on each parser and argparse's
+    default formatter: a builder that shares nothing between calls."""
+    if command is None:
+        p = argparse.ArgumentParser(prog="lix", description="Liquidity index toolkit")
+        sub = p.add_subparsers(dest="command", required=True)
+        parsers = {name: sub.add_parser(name, help=help_text)
+                   for name, (help_text, _, _) in cli._COMMANDS.items()}
+    else:
+        p = argparse.ArgumentParser(prog=f"lix {command}")
+        parsers = {command: p}
+    for name, s in parsers.items():
+        cli._add_output_options(s, name)
+        cli._COMMANDS[name][1](s)
+    return p
+
+
+@pytest.mark.parametrize("columns", [None, "1", "40", "80", "200"])
+@pytest.mark.parametrize("command", [None, *cli._COMMANDS])
+def test_parsers_match_a_reference_that_declares_arguments_on_each_parser(
+        monkeypatch, command, columns):
+    _set_columns(monkeypatch, columns)
+    built, reference = _parsers(build_parser(command)), _parsers(_reference_parser(command))
+    assert [p.prog for p in built] == [p.prog for p in reference]
+    for p, q in zip(built, reference):
+        assert (p.format_help(), p.format_usage()) == (q.format_help(), q.format_usage()), p.prog
+    full = _reference_parser().parse_args
+    for name in cli._COMMANDS if command is None else [command]:
+        for shape in _shapes(name):
+            argv = [name, *shape]
+            if command is None:
+                assert _parse(built[0].parse_args, argv) == _parse(full, argv), argv
+            else:
+                assert _parse(built[0].parse_args, shape) == _parse(
+                    reference[0].parse_args, shape), shape
+                assert _parse(_parse_args, argv) == _parse(full, argv), argv
